@@ -1,16 +1,9 @@
 // Ingestion benchmark: parse+build throughput (MB/s) and peak RSS for the
-// three load pipelines on an XMark-style XML file —
+// load pipelines on an XMark-style XML file —
 //
 //   pointer          streamed events -> TreeBuilder -> Document + TreeIndex
-//   pointer_legacy   the pre-streaming pointer path: slurp the file into
-//                    one string, parse, then build the TreeIndex (the
-//                    throughput yardstick the streamed pointer load must
-//                    stay within 5% of)
 //   succinct_stream  streamed events -> {SuccinctBuilder, LabelPostings-
 //                    Builder}, no pointer Document ever materialized
-//   succinct_legacy  the pre-streaming path: slurp the file into one
-//                    string, parse a full pointer Document, then convert to
-//                    SuccinctTree + rebuild the LabelIndex from it
 //   image_open       reopen a saved index image (persist/): one mmap +
 //                    checksum validation + in-memory directory rebuild,
 //                    no XML parse at all; also reports the first-query
@@ -19,9 +12,7 @@
 //
 // Each pipeline runs in a forked child so its peak RSS (VmHWM delta from
 // the child's post-fork baseline) is isolated from sibling measurements and
-// allocator caching. The point of the exercise: succinct_stream's peak
-// should be several times (target >= 4x) below succinct_legacy's, at
-// comparable throughput.
+// allocator caching.
 //
 // Usage: bench_build [--quick] [--out PATH]
 //   --quick  small document + small chunk size, so the CI smoke run also
@@ -44,8 +35,6 @@
 
 #include "core/collection.h"
 #include "core/engine.h"
-#include "index/label_index.h"
-#include "index/succinct_tree.h"
 #include "persist/image_format.h"
 #include "persist/index_image.h"
 #include "util/strings.h"
@@ -160,35 +149,6 @@ LoadStats StatsOfEngine(const Engine& engine) {
           report.label_index_vector_bytes};
 }
 
-/// Slurps the whole file into one string, the pre-streaming read path.
-StatusOr<Document> SlurpAndParse(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  std::ostringstream ss;
-  ss << in.rdbuf();
-  std::string content = ss.str();
-  return ParseXmlString(content);
-}
-
-/// The pre-PR pointer load: slurp, parse, index.
-LoadStats LegacyPointerLoad(const std::string& path) {
-  auto doc = SlurpAndParse(path);
-  if (!doc.ok()) return {};
-  TreeIndex index(*doc);
-  const LabelIndex::MemoryStats m = index.labels().Memory();
-  return {doc->num_nodes(), m.bytes, m.vector_bytes};
-}
-
-/// The pre-PR succinct load, reproduced exactly: slurp, pointer-parse,
-/// convert, re-derive postings from the succinct label array.
-LoadStats LegacySuccinctLoad(const std::string& path) {
-  auto doc = SlurpAndParse(path);
-  if (!doc.ok()) return {};
-  SuccinctTree tree(*doc);
-  LabelIndex postings(tree);
-  const LabelIndex::MemoryStats m = postings.Memory();
-  return {tree.num_nodes(), m.bytes, m.vector_bytes};
-}
-
 int Run(bool quick, const std::string& out_path) {
   XMarkOptions opt;
   opt.scale = XMarkScaleFromEnv(quick ? 0.02 : 0.45);
@@ -230,9 +190,6 @@ int Run(bool quick, const std::string& out_path) {
         auto engine = Engine::FromXmlFile(path, load);
         return engine.ok() ? StatsOfEngine(*engine) : LoadStats{};
       }));
-  results.push_back(MeasureForked("pointer_legacy", [&path]() -> LoadStats {
-    return LegacyPointerLoad(path);
-  }));
   results.push_back(
       MeasureForked("succinct_stream", [&path, chunk_bytes]() -> LoadStats {
         LoadOptions load;
@@ -241,9 +198,6 @@ int Run(bool quick, const std::string& out_path) {
         auto engine = Engine::FromXmlFile(path, load);
         return engine.ok() ? StatsOfEngine(*engine) : LoadStats{};
       }));
-  results.push_back(MeasureForked("succinct_legacy", [&path]() -> LoadStats {
-    return LegacySuccinctLoad(path);
-  }));
 
   // Save an index image once (in a child, so the build's RSS stays out of
   // the parent), then measure reopening it: mmap + validation + directory
@@ -401,33 +355,27 @@ int Run(bool quick, const std::string& out_path) {
                 WithCommas(static_cast<uint64_t>(std::max(0L, r.nodes)))
                     .c_str());
   }
-  const double legacy_peak = results[3].peak_delta_mb;
-  const double stream_peak = results[2].peak_delta_mb;
-  const double peak_ratio =
-      stream_peak > 0 ? legacy_peak / stream_peak : 0;
-  // Streamed pointer load relative to the pre-streaming one (>= 0.95 keeps
-  // the "no pointer throughput regression" acceptance bar).
-  const double pointer_speed_ratio =
-      results[0].ms > 0 ? results[1].ms / results[0].ms : 0;
+  auto pipeline = [&results](const char* name) -> const PhaseResult& {
+    return *std::find_if(
+        results.begin(), results.end(),
+        [name](const PhaseResult& r) { return r.name == name; });
+  };
+  const PhaseResult& stream = pipeline("succinct_stream");
+  const PhaseResult& image = pipeline("image_open");
   // Postings compression on the streamed succinct load: vector-baseline
-  // bytes over compressed bytes (the ISSUE-4 acceptance bar is >= 3x).
+  // bytes over compressed bytes (the acceptance bar is >= 3x).
   const double label_compression =
-      results[2].label_index_mb > 0
-          ? results[2].label_index_vector_mb / results[2].label_index_mb
+      stream.label_index_mb > 0
+          ? stream.label_index_vector_mb / stream.label_index_mb
           : 0;
   // Reopening the saved image vs rebuilding the same succinct engine from
   // XML (the acceptance bar for the persistent format is >= 20x).
-  const double image_open_speedup =
-      results[4].ms > 0 ? results[2].ms / results[4].ms : 0;
-  std::printf("\npeak memory, legacy succinct load vs streamed: %.1fx\n",
-              peak_ratio);
-  std::printf("pointer throughput, streamed vs legacy: %.2fx\n",
-              pointer_speed_ratio);
-  std::printf("label index, vector baseline vs compressed: %.2fx\n",
+  const double image_open_speedup = image.ms > 0 ? stream.ms / image.ms : 0;
+  std::printf("\nlabel index, vector baseline vs compressed: %.2fx\n",
               label_compression);
   std::printf(
       "image open vs succinct rebuild: %.1fx (first query %.0f us)\n",
-      image_open_speedup, results[4].first_query_us);
+      image_open_speedup, image.first_query_us);
   all_ok = all_ok && bulk_ok;
   if (!all_ok) std::printf("WARNING: a pipeline failed or node counts differ\n");
 
@@ -454,12 +402,9 @@ int Run(bool quick, const std::string& out_path) {
                  i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out,
-               "  ],\n  \"peak_ratio_legacy_vs_stream\": %.2f,\n"
-               "  \"pointer_speed_vs_legacy\": %.2f,\n"
-               "  \"label_index_compression\": %.2f,\n"
+               "  ],\n  \"label_index_compression\": %.2f,\n"
                "  \"image_open_speedup_vs_rebuild\": %.2f,\n",
-               peak_ratio, pointer_speed_ratio, label_compression,
-               image_open_speedup);
+               label_compression, image_open_speedup);
   std::fprintf(out,
                "  \"hardware_threads\": %u,\n"
                "  \"simd_scan\": {\"kernel\": \"%s\", \"mb_per_s\": %.1f, "

@@ -10,6 +10,16 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Layering: the serving layers compile and run only what a cursor runs. The
+# top-down STA machinery (src/sta/, xpath/compile_sta.h) serves the paper
+# benches and tests, so no file under src/core, src/serve or src/net may
+# include it directly.
+if grep -rnE '#include "(sta/|xpath/compile_sta\.h)' src/core src/serve src/net; then
+  echo "check.sh: src/core, src/serve and src/net must not include sta/ or" \
+    "xpath/compile_sta.h" >&2
+  exit 1
+fi
+
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j"$(nproc)"
 (cd build && ctest --output-on-failure -j"$(nproc)")

@@ -18,28 +18,14 @@ Status Collection::AddXmlFile(std::string name, const std::string& path,
                               LoadOptions options) {
   if (by_name_.count(name) > 0) return DuplicateName(name);
   options.alphabet = alphabet_;
-  XPWQO_ASSIGN_OR_RETURN(Engine engine, Engine::FromXmlFile(path, options));
-  engine.set_query_cache(cache_);
-  by_name_.emplace(name, engines_.size());
-  names_.push_back(std::move(name));
-  engines_.push_back(std::make_unique<Engine>(std::move(engine)));
-  loaders_.emplace_back();
-  health_.emplace_back();
-  return Status::OK();
+  return Register(std::move(name), Engine::FromXmlFile(path, options));
 }
 
 Status Collection::AddXmlString(std::string name, std::string_view xml,
                                 LoadOptions options) {
   if (by_name_.count(name) > 0) return DuplicateName(name);
   options.alphabet = alphabet_;
-  XPWQO_ASSIGN_OR_RETURN(Engine engine, Engine::FromXmlString(xml, options));
-  engine.set_query_cache(cache_);
-  by_name_.emplace(name, engines_.size());
-  names_.push_back(std::move(name));
-  engines_.push_back(std::make_unique<Engine>(std::move(engine)));
-  loaders_.emplace_back();
-  health_.emplace_back();
-  return Status::OK();
+  return Register(std::move(name), Engine::FromXmlString(xml, options));
 }
 
 Collection::BulkLoadReport Collection::LoadAll(
@@ -100,17 +86,7 @@ Collection::BulkLoadReport Collection::LoadAll(
   // finished first.
   for (size_t i = 0; i < specs.size(); ++i) {
     if (!admitted[i]) continue;
-    if (!parsed[i].ok()) {
-      report.rows[i].status = parsed[i].status();
-      continue;
-    }
-    Engine engine = std::move(parsed[i]).value();
-    engine.set_query_cache(cache_);
-    by_name_.emplace(specs[i].name, engines_.size());
-    names_.push_back(specs[i].name);
-    engines_.push_back(std::make_unique<Engine>(std::move(engine)));
-    loaders_.emplace_back();
-    health_.emplace_back();
+    report.rows[i].status = Register(specs[i].name, std::move(parsed[i]));
   }
   for (const BulkLoadReport::Row& row : report.rows) {
     if (row.status.ok()) {
@@ -120,6 +96,17 @@ Collection::BulkLoadReport Collection::LoadAll(
     }
   }
   return report;
+}
+
+Status Collection::Register(std::string name, StatusOr<Engine> loaded) {
+  XPWQO_RETURN_IF_ERROR(loaded.status());
+  loaded->set_query_cache(cache_);
+  by_name_.emplace(name, engines_.size());
+  names_.push_back(std::move(name));
+  engines_.push_back(std::make_unique<Engine>(std::move(loaded).value()));
+  loaders_.emplace_back();
+  health_.emplace_back();
+  return Status::OK();
 }
 
 Status Collection::AddLazy(std::string name, LazyLoader loader) {
@@ -168,10 +155,11 @@ StatusOr<std::shared_ptr<const PreparedQuery>> Collection::PrepareCached(
   if (std::shared_ptr<const PreparedQuery> hit = cache_->Lookup(xpath)) {
     return hit;
   }
-  // Compile under the lazy mutex: a fresh compilation interns labels into
-  // the shared alphabet, which must not race with a lazy load doing the
-  // same. (A duplicate compile between Lookup and here is harmless — both
-  // results are valid, one wins the cache.)
+  // Compile under the lazy mutex: a lazy image without a MANIFEST must
+  // intern its labels at exactly its own ids, so a compilation interning
+  // new labels may not land between a load's interns. (A duplicate compile
+  // between Lookup and here is harmless — both results are valid, one wins
+  // the cache.)
   std::lock_guard<std::mutex> lock(*lazy_mu_);
   XPWQO_ASSIGN_OR_RETURN(PreparedQuery query,
                          PreparedQuery::Prepare(xpath, alphabet_));

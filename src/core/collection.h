@@ -4,7 +4,7 @@
 // per document), but intern their labels into the collection's alphabet, so
 // a query prepared once binds to every document, including documents added
 // after the query was prepared (new labels get fresh ids; the compiled
-// label sets stay valid).
+// label sets stay valid, wildcards aside — see Prepare).
 //
 // Documents can also be registered *lazily* (AddLazy): the slot holds a
 // loader instead of an engine, and the first query against the document —
@@ -14,12 +14,14 @@
 // failure (kCorruption/kIoError) surfaces through the querying call and the
 // slot stays loadable, so a transient I/O error can be retried.
 //
-// Thread-safety contract: Add*/Prepare mutate the shared alphabet and must
-// be serialized (load + prepare phase). Once loaded, the collection is
-// const-thread-safe: concurrent Run/RunAll/OpenCursor across any documents
-// and threads are safe — with the lazy caveat that a first touch interns
-// the image's labels into the shared alphabet under the collection's lazy
-// mutex, which must not race with Prepare/Add on other threads.
+// Thread-safety contract: Prepare/PrepareCached may run concurrently with
+// anything (the Alphabet is internally synchronized). Registration
+// (Add*/LoadAll/AddLazy) must not race with queries or other registrations.
+// Queries (Run/RunAll/OpenCursor, lazy first touches included) are freely
+// concurrent. The one hazard: an AddLazy image without a MANIFEST needs its
+// label ids to land verbatim, so no compile may intern a new label before or
+// while it loads — PrepareCached compiles under the lazy mutex, and xpathd
+// touches a single image before it serves.
 #ifndef XPWQO_CORE_COLLECTION_H_
 #define XPWQO_CORE_COLLECTION_H_
 
@@ -105,9 +107,9 @@ class Collection {
   ///
   /// Safe to run concurrently with Prepare/PrepareCached — compilation
   /// interns through the same thread-safe alphabet the workers do. Like
-  /// Add*, registration must not race with queries or other mutating calls
-  /// (the load + prepare phase contract above); the new documents become
-  /// visible only after all workers finish, in spec order.
+  /// Add*, registration must not race with queries or other registrations;
+  /// the new documents become visible only after all workers finish, in
+  /// spec order.
   BulkLoadReport LoadAll(const std::vector<BulkLoadSpec>& specs,
                          unsigned threads = 0);
 
@@ -122,15 +124,17 @@ class Collection {
   Status AddLazy(std::string name, LazyLoader loader);
 
   /// Compiles a query against the shared alphabet; the result binds to
-  /// every document of the collection (current and future).
+  /// every document of the collection, current and future — unless a later
+  /// load makes its wildcard stale (PreparedQuery::stale): re-prepare then.
   StatusOr<PreparedQuery> Prepare(std::string_view xpath) const {
     return PreparedQuery::Prepare(xpath, alphabet_);
   }
 
   /// Cache-through compilation against the collection's shared query cache:
   /// one compilation per query string per collection, whichever document it
-  /// is later run on. Safe to call concurrently with queries — a miss
-  /// interns labels under the same lock that serializes lazy loads.
+  /// is later run on (a stale entry recompiles). Safe to call concurrently
+  /// with queries — a miss interns labels under the same lock that
+  /// serializes lazy loads.
   StatusOr<std::shared_ptr<const PreparedQuery>> PrepareCached(
       std::string_view xpath) const;
 
@@ -184,6 +188,10 @@ class Collection {
   Status Health(std::string_view name) const;
 
  private:
+  /// Registers a loaded engine under `name` (already checked to be new)
+  /// and wires it to the shared query cache; a failed load passes its
+  /// Status through and registers nothing.
+  Status Register(std::string name, StatusOr<Engine> loaded);
   /// Returns slot i's engine, running its lazy loader first if needed.
   /// Const because first-touch loading is observable only as latency; the
   /// lazy mutex serializes concurrent first touches.

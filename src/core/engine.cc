@@ -233,6 +233,21 @@ internal::CursorContext Engine::Context() const {
   return ctx;
 }
 
+Status Engine::CheckRunnable(const PreparedQuery& query) const {
+  if (query.alphabet_ptr() != alphabet_) {
+    return Status::InvalidArgument(
+        "query was prepared against a different alphabet; prepare it "
+        "through this engine (or its collection)");
+  }
+  if (query.stale()) {
+    return Status::FailedPrecondition(
+        "query '" + query.ToString() +
+        "' has a wildcard compiled before an attribute or text label was "
+        "added to the alphabet; re-prepare it");
+  }
+  return Status::OK();
+}
+
 StatusOr<std::shared_ptr<const PreparedQuery>> Engine::PrepareCached(
     std::string_view xpath) const {
   if (std::shared_ptr<const PreparedQuery> hit = cache_->Lookup(xpath)) {
@@ -247,11 +262,7 @@ StatusOr<std::shared_ptr<const PreparedQuery>> Engine::PrepareCached(
 
 StatusOr<ResultCursor> Engine::OpenCursor(const PreparedQuery& query,
                                           const QueryOptions& options) const {
-  if (query.alphabet_ptr() != alphabet_) {
-    return Status::InvalidArgument(
-        "query was prepared against a different alphabet; prepare it "
-        "through this engine (or its collection)");
-  }
+  XPWQO_RETURN_IF_ERROR(CheckRunnable(query));
   XPWQO_ASSIGN_OR_RETURN(
       std::unique_ptr<internal::CursorImpl> impl,
       internal::MakeCursorImpl(Context(), query, options,
@@ -272,11 +283,7 @@ StatusOr<ResultCursor> Engine::OpenCursor(
   if (query == nullptr) {
     return Status::InvalidArgument("OpenCursor requires a non-null query");
   }
-  if (query->alphabet_ptr() != alphabet_) {
-    return Status::InvalidArgument(
-        "query was prepared against a different alphabet; prepare it "
-        "through this engine (or its collection)");
-  }
+  XPWQO_RETURN_IF_ERROR(CheckRunnable(*query));
   XPWQO_ASSIGN_OR_RETURN(
       std::unique_ptr<internal::CursorImpl> impl,
       internal::MakeCursorImpl(Context(), *query, options,
@@ -287,11 +294,7 @@ StatusOr<ResultCursor> Engine::OpenCursor(
 
 StatusOr<QueryResult> Engine::Run(const PreparedQuery& query,
                                   const QueryOptions& options) const {
-  if (query.alphabet_ptr() != alphabet_) {
-    return Status::InvalidArgument(
-        "query was prepared against a different alphabet; prepare it "
-        "through this engine (or its collection)");
-  }
+  XPWQO_RETURN_IF_ERROR(CheckRunnable(query));
   // Run is "drain the cursor" with streaming off: every strategy executes
   // its classic one-shot evaluation, so results, statistics and performance
   // are identical to the pre-cursor API.

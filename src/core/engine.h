@@ -28,11 +28,9 @@
 //
 // Thread-safety: a loaded Engine is const-thread-safe — concurrent Run()
 // and cursors are fine, including through the string overload (the query
-// cache is internally locked), with one caveat: compiling a *new* query
-// interns labels into the shared Alphabet, which must not race with other
-// compilations or document loads on the same alphabet. Prepare the query
-// set up front (or warm the cache single-threaded) and the serving phase is
-// lock-free reads.
+// cache is internally locked). Compiling a new query interns its name
+// tests into the shared Alphabet, which is internally synchronized, so
+// compilations may race each other and document loads freely.
 #ifndef XPWQO_CORE_ENGINE_H_
 #define XPWQO_CORE_ENGINE_H_
 
@@ -98,10 +96,6 @@ struct IndexMemoryReport {
   }
 };
 
-/// Compatibility name: Engine::Compile has always returned a reusable
-/// compiled query; it is now the same object the serving API prepares.
-using CompiledQuery = PreparedQuery;
-
 /// One document plus its index; immutable after construction, cheap to move.
 class Engine {
  public:
@@ -145,8 +139,9 @@ class Engine {
   StatusOr<PreparedQuery> Compile(std::string_view xpath) const;
 
   /// Opens a streaming cursor over the query's results. The query must
-  /// have been prepared against this engine's alphabet; it and the engine
-  /// must outlive the cursor.
+  /// have been prepared against this engine's alphabet (else
+  /// kInvalidArgument) and must not be stale (else kFailedPrecondition:
+  /// re-prepare it); it and the engine must outlive the cursor.
   StatusOr<ResultCursor> OpenCursor(const PreparedQuery& query,
                                     const QueryOptions& options = {}) const;
 
@@ -262,6 +257,9 @@ class Engine {
   static StatusOr<Engine> LoadSuccinct(
       size_t input_bytes, std::shared_ptr<Alphabet> alphabet,
       const std::function<Status(Alphabet*, TreeEventSink*)>& parse);
+  /// OK when `query` can run here: prepared against this engine's alphabet
+  /// and not stale (PreparedQuery::stale).
+  Status CheckRunnable(const PreparedQuery& query) const;
   /// Cache-through compilation of a query string.
   StatusOr<std::shared_ptr<const PreparedQuery>> PrepareCached(
       std::string_view xpath) const;
@@ -278,9 +276,8 @@ class Engine {
   /// Content layer for document-less engines (streamed succinct loads and
   /// v2 image opens); null when doc_ carries the values or on v1 images.
   std::unique_ptr<TextStore> text_;
-  /// LRU of string-compiled queries (internally locked; see the class
-  /// comment for the new-query interning caveat). Shared with the owning
-  /// Collection when there is one.
+  /// LRU of string-compiled queries (internally locked). Shared with the
+  /// owning Collection when there is one.
   std::shared_ptr<QueryCache> cache_;
   /// Backing-bytes re-validation, installed by the persist open path.
   std::function<Status()> verifier_;

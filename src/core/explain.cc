@@ -23,7 +23,7 @@ const char* LoopKindName(LoopKind kind) {
 
 }  // namespace
 
-std::string ExplainQuery(const Engine& engine, const CompiledQuery& query,
+std::string ExplainQuery(const Engine& engine, const PreparedQuery& query,
                          const ExplainOptions& options) {
   const Alphabet& alphabet = engine.alphabet();
   std::string out;
@@ -68,7 +68,7 @@ std::string ExplainQuery(const Engine& engine, const CompiledQuery& query,
 StatusOr<std::string> ExplainQuery(const Engine& engine,
                                    std::string_view xpath,
                                    const ExplainOptions& options) {
-  XPWQO_ASSIGN_OR_RETURN(CompiledQuery query, engine.Compile(xpath));
+  XPWQO_ASSIGN_OR_RETURN(PreparedQuery query, engine.Compile(xpath));
   return ExplainQuery(engine, query, options);
 }
 

@@ -21,7 +21,7 @@ struct ExplainOptions {
 };
 
 /// Renders an explanation of `query` against `engine`'s document.
-std::string ExplainQuery(const Engine& engine, const CompiledQuery& query,
+std::string ExplainQuery(const Engine& engine, const PreparedQuery& query,
                          const ExplainOptions& options = {});
 
 /// Parse+compile+explain in one call.

@@ -1,30 +1,34 @@
 #include "core/prepared_query.h"
 
-#include "sta/minimize.h"
 #include "xpath/compile.h"
-#include "xpath/compile_sta.h"
 #include "xpath/parser.h"
 
 namespace xpwqo {
 namespace {
 
-bool ContainsValueCmp(const Path& path);
+/// What a path contains anywhere, predicate paths included.
+struct PathShape {
+  bool value_cmp = false;  // a value comparison
+  bool wildcard = false;   // a '*' or node() test
+};
 
-bool ContainsValueCmp(const PredExpr& pred) {
-  if (pred.kind == PredExpr::Kind::kValueCmp) return true;
-  if (pred.lhs != nullptr && ContainsValueCmp(*pred.lhs)) return true;
-  if (pred.rhs != nullptr && ContainsValueCmp(*pred.rhs)) return true;
-  if (pred.kind == PredExpr::Kind::kPath) return ContainsValueCmp(pred.path);
-  return false;
+void Survey(const Path& path, PathShape* shape);
+
+void Survey(const PredExpr& pred, PathShape* shape) {
+  if (pred.kind == PredExpr::Kind::kValueCmp) shape->value_cmp = true;
+  if (pred.lhs != nullptr) Survey(*pred.lhs, shape);
+  if (pred.rhs != nullptr) Survey(*pred.rhs, shape);
+  Survey(pred.path, shape);
 }
 
-bool ContainsValueCmp(const Path& path) {
+void Survey(const Path& path, PathShape* shape) {
   for (const Step& step : path.steps) {
-    for (const auto& pred : step.predicates) {
-      if (ContainsValueCmp(*pred)) return true;
+    if (step.test.kind == NodeTestKind::kStar ||
+        step.test.kind == NodeTestKind::kNode) {
+      shape->wildcard = true;
     }
+    for (const auto& pred : step.predicates) Survey(*pred, shape);
   }
-  return false;
 }
 
 /// The structural widening: drop every predicate tree that mentions a value
@@ -41,7 +45,9 @@ Path RelaxValuePredicates(const Path& path, bool* stripped) {
     step.axis = s.axis;
     step.test = s.test;
     for (const auto& pred : s.predicates) {
-      if (ContainsValueCmp(*pred)) {
+      PathShape shape;
+      Survey(*pred, &shape);
+      if (shape.value_cmp) {
         *stripped = true;
         continue;
       }
@@ -70,17 +76,24 @@ StatusOr<PreparedQuery> PreparedQuery::Prepare(
   query.relaxed_path_ = RelaxValuePredicates(query.path_, &stripped);
   query.has_value_predicates_ = stripped;
   const Path& plan_path = query.relaxed_path_;
-  XPWQO_ASSIGN_OR_RETURN(query.asta_,
-                         CompileToAsta(plan_path, alphabet.get()));
-  if (IsHybridEvaluable(plan_path)) {
-    XPWQO_ASSIGN_OR_RETURN(HybridPlan plan,
-                           HybridPlan::Make(plan_path, alphabet.get()));
-    query.hybrid_ = std::make_unique<HybridPlan>(std::move(plan));
-  }
-  if (IsTdstaCompilable(plan_path)) {
-    XPWQO_ASSIGN_OR_RETURN(Sta sta,
-                           CompileToTdsta(plan_path, alphabet.get()));
-    query.tdsta_ = std::make_unique<Sta>(MinimizeTopDown(sta));
+  PathShape shape;
+  Survey(plan_path, &shape);
+  // A wildcard compiles against the attribute and text labels interned so
+  // far, so the plan records that basis. When this very compilation
+  // interned another such label (a name test like '@id' compiled after
+  // the wildcard), a second pass lets the wildcard exclude it too.
+  for (int pass = 0; pass < 2; ++pass) {
+    if (shape.wildcard) {
+      query.wildcard_basis_ = alphabet->non_element_labels();
+    }
+    XPWQO_ASSIGN_OR_RETURN(query.asta_,
+                           CompileToAsta(plan_path, alphabet.get()));
+    if (IsHybridEvaluable(plan_path)) {
+      XPWQO_ASSIGN_OR_RETURN(HybridPlan plan,
+                             HybridPlan::Make(plan_path, alphabet.get()));
+      query.hybrid_ = std::make_unique<HybridPlan>(std::move(plan));
+    }
+    if (!query.stale()) break;
   }
   query.streamable_ = true;
   for (const Step& step : plan_path.steps) {

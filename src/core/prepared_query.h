@@ -1,16 +1,16 @@
 // PreparedQuery: an XPath string parsed and compiled exactly once against a
 // shared Alphabet — the serving-side "prepared statement". Holds every plan
-// the engines can run: the Path AST, the ASTA (all Figure-4 strategies), the
-// minimal TDSTA of the restricted fragment (the optimal jumping run of
-// Theorem 3.1), and a HybridPlan for descendant chains. A prepared query is
-// immutable after Prepare() and bindable to any document or Engine built
-// over the same Alphabet — compile once, run on every shard.
+// a ResultCursor runs: the Path AST, the ASTA (all Figure-4 strategies) and
+// a HybridPlan for descendant chains. A prepared query is immutable after
+// Prepare() and bindable to any document or Engine built over the same
+// Alphabet — compile once, run on every shard.
 //
 // Thread-safety contract: Prepare() interns the query's name tests into the
-// shared Alphabet and must not race with other Prepare()/document loads on
-// that alphabet. Afterwards the object is const-thread-safe: concurrent
-// Run()/ResultCursor evaluations of one PreparedQuery are safe (evaluation
-// state lives in the evaluators, never in the query).
+// internally synchronized Alphabet, so it may race other compilations and
+// document loads (Collection states the one lazy-image ordering hazard).
+// Afterwards the object is const-thread-safe: concurrent Run()/ResultCursor
+// evaluations of one PreparedQuery are safe (evaluation state lives in the
+// evaluators, never in the query).
 #ifndef XPWQO_CORE_PREPARED_QUERY_H_
 #define XPWQO_CORE_PREPARED_QUERY_H_
 
@@ -19,7 +19,6 @@
 #include <string_view>
 
 #include "asta/asta.h"
-#include "sta/sta.h"
 #include "tree/alphabet.h"
 #include "util/status.h"
 #include "xpath/ast.h"
@@ -52,13 +51,19 @@ class PreparedQuery {
   const Asta& asta() const { return asta_; }
   /// Start-anywhere plan, or null when the path is not a //-chain.
   const HybridPlan* hybrid() const { return hybrid_.get(); }
-  /// Minimal TDSTA of the restricted fragment (drives TopDownJumpRun), or
-  /// null when the path needs alternation.
-  const Sta* tdsta() const { return tdsta_.get(); }
   /// True when a ResultCursor can emit matches incrementally: the path has
   /// no predicates, so every automaton mark is final the moment its region
   /// completes (selection queries of this shape never reject a tree).
   bool streamable() const { return streamable_; }
+  /// True when a '*'/node() test no longer fits the alphabet: wildcards
+  /// compile to "every label except the attribute and text labels interned
+  /// so far", and another such label has been interned since. Engine
+  /// refuses a stale query (kFailedPrecondition) and QueryCache recompiles
+  /// it. Always false without a wildcard.
+  bool stale() const {
+    return wildcard_basis_ >= 0 &&
+           alphabet_->non_element_labels() > wildcard_basis_;
+  }
   /// The alphabet the query was compiled against; evaluation requires the
   /// document to share it.
   const std::shared_ptr<Alphabet>& alphabet_ptr() const { return alphabet_; }
@@ -66,8 +71,6 @@ class PreparedQuery {
   std::string ToString() const;
 
  private:
-  friend class Engine;  // Engine::Compile fills the same fields
-
   PreparedQuery() = default;
 
   std::shared_ptr<Alphabet> alphabet_;
@@ -76,8 +79,10 @@ class PreparedQuery {
   bool has_value_predicates_ = false;
   Asta asta_;
   std::unique_ptr<HybridPlan> hybrid_;  // null if not hybrid-evaluable
-  std::unique_ptr<Sta> tdsta_;          // null if not TDSTA-compilable
   bool streamable_ = false;
+  // Alphabet::non_element_labels() the wildcard tests were compiled
+  // against; -1 when the plan has no wildcard test.
+  int wildcard_basis_ = -1;
 };
 
 }  // namespace xpwqo

@@ -32,11 +32,16 @@ class QueryCache {
       : capacity_(capacity > 0 ? capacity : 1) {}
 
   /// The cached compilation for `xpath`, or null. A hit moves the entry to
-  /// the front of the LRU; a null return counts as a miss.
+  /// the front of the LRU; a null return counts as a miss. A stale entry
+  /// (PreparedQuery::stale) is dropped and misses, so the caller recompiles.
   std::shared_ptr<const PreparedQuery> Lookup(std::string_view xpath) {
     std::lock_guard<std::mutex> lock(mu_);
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
       if (it->first == xpath) {
+        if (it->second->stale()) {
+          entries_.erase(it);
+          break;
+        }
         entries_.splice(entries_.begin(), entries_, it);
         ++hits_;
         return entries_.front().second;

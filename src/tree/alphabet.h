@@ -47,6 +47,12 @@ class Alphabet {
   /// Number of interned labels.
   int size() const;
 
+  /// Number of interned labels that name no element: attributes ("@x")
+  /// and character data ("#text"). A compiled '*' excludes exactly these
+  /// (node() the attributes among them), so a rise in this count is what
+  /// makes a compiled wildcard stale (PreparedQuery::stale).
+  int non_element_labels() const;
+
  private:
   mutable std::shared_mutex mu_;
   /// Deque, not vector: growth never moves existing strings, so Name()'s
@@ -55,6 +61,7 @@ class Alphabet {
   std::deque<std::string> names_;
   /// Keys view into names_ entries — one stored copy per label.
   std::unordered_map<std::string_view, LabelId> ids_;
+  int non_element_labels_ = 0;
 };
 
 }  // namespace xpwqo

@@ -41,6 +41,9 @@ TEST(AlphabetTest, SpecialLabelNamesAreOrdinary) {
   EXPECT_NE(text, attr);
   EXPECT_EQ(a.Name(text), "#text");
   EXPECT_EQ(a.Name(attr), "@id");
+  a.Intern("book");
+  a.Intern("@id");
+  EXPECT_EQ(a.non_element_labels(), 2);  // '#text', '@id'; no element, once
 }
 
 }  // namespace

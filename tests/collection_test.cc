@@ -74,6 +74,72 @@ TEST(CollectionTest, PreparedBeforeLoadingStillBinds) {
   EXPECT_EQ((*all)[1].result.nodes.size(), 1u);
 }
 
+constexpr const char* kBookWithId = R"(<r><book id="1"><t>x</t></book></r>)";
+constexpr const char* kBookWithLang =
+    R"(<r><book lang="en"><t>y</t></book></r>)";
+
+TEST(CollectionTest, WildcardPreparedBeforeLoadingMustReprepare) {
+  // '*' compiles to "every label except the attribute and text labels
+  // known now". The load below adds '@id' and '#text', which that plan
+  // would select; it must refuse to run instead of answering wrongly.
+  Collection library;
+  auto early = library.Prepare("//book/*");
+  ASSERT_TRUE(early.ok());
+  ASSERT_TRUE(library.AddXmlString("d", kBookWithId).ok());
+
+  auto stale = library.OpenCursor("d", *early);
+  ASSERT_FALSE(stale.ok());
+  EXPECT_EQ(stale.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(library.RunAll(*early).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  auto fresh = library.Prepare("//book/*");
+  ASSERT_TRUE(fresh.ok());
+  // A new element label leaves the wildcard valid: '*' already covers it.
+  ASSERT_TRUE(library.Prepare("//chapter").ok());
+  auto cursor = library.OpenCursor("d", *fresh);
+  ASSERT_TRUE(cursor.ok());
+  EXPECT_EQ(cursor->Drain().size(), 1u);  // <t>, not @id
+}
+
+TEST(CollectionTest, CachedWildcardRecompilesAfterNewAttributeLabel) {
+  Collection library;
+  ASSERT_TRUE(library.AddXmlString("a", kBookWithId).ok());
+  auto cached = library.PrepareCached("//book/*");
+  ASSERT_TRUE(cached.ok());
+  ASSERT_TRUE(library.AddXmlString("b", kBookWithLang).ok());  // new @lang
+
+  // Holding the old compilation is a clean error, not a wrong answer.
+  const Engine* b = library.Find("b");
+  ASSERT_NE(b, nullptr);
+  EXPECT_EQ(b->OpenCursor(*cached).status().code(),
+            StatusCode::kFailedPrecondition);
+
+  // The string path treats the stale entry as a miss and recompiles.
+  const int64_t misses = library.query_cache()->misses();
+  auto cursor = library.OpenCursor("b", "//book/*");
+  ASSERT_TRUE(cursor.ok());
+  EXPECT_EQ(cursor->Drain().size(), 1u);  // <t>, not @lang
+  EXPECT_EQ(library.query_cache()->misses(), misses + 1);
+}
+
+TEST(CollectionTest, WildcardExcludesLabelsItsOwnCompileInterned) {
+  // '*' compiles before '@id' is interned by the same query; the wildcard
+  // must still exclude it, and the query must not come out stale (RunAll
+  // would refuse it).
+  Collection library;
+  auto query = library.Prepare("//book[* and @id]");
+  ASSERT_TRUE(query.ok());
+  ASSERT_TRUE(library
+                  .AddXmlString(
+                      "d", R"(<r><book id="1"/><book id="2"><t/></book></r>)")
+                  .ok());
+  auto all = library.RunAll(*query);
+  ASSERT_TRUE(all.ok());
+  ASSERT_EQ(all->size(), 1u);
+  EXPECT_EQ((*all)[0].result.nodes.size(), 1u);  // only the book with <t/>
+}
+
 TEST(CollectionTest, PerDocumentCursors) {
   Collection library;
   ASSERT_TRUE(library.AddXmlString("a", kShelfA).ok());

@@ -10,10 +10,12 @@
 
 #include "core/collection.h"
 #include "core/engine.h"
+#include "sta/minimize.h"
 #include "sta/topdown_jump.h"
 #include "test_util.h"
 #include "xmark/generator.h"
 #include "xmark/workload.h"
+#include "xpath/compile_sta.h"
 
 namespace xpwqo {
 namespace {
@@ -233,14 +235,14 @@ TEST(PreparedQueryTest, ExposesEveryCompiledPlan) {
   auto chain = engine.Compile("//listitem//keyword");
   ASSERT_TRUE(chain.ok());
   EXPECT_NE(chain->hybrid(), nullptr);
-  EXPECT_NE(chain->tdsta(), nullptr);
+  EXPECT_TRUE(IsTdstaCompilable(chain->relaxed_path()));
   EXPECT_TRUE(chain->streamable());
   EXPECT_EQ(chain->ToString(), "/descendant::listitem/descendant::keyword");
 
   auto pred = engine.Compile("//listitem[.//keyword]");
   ASSERT_TRUE(pred.ok());
   EXPECT_EQ(pred->hybrid(), nullptr);
-  EXPECT_EQ(pred->tdsta(), nullptr);
+  EXPECT_FALSE(IsTdstaCompilable(pred->relaxed_path()));
   EXPECT_FALSE(pred->streamable());
 }
 
@@ -248,18 +250,21 @@ TEST(PreparedQueryTest, MinimalTdstaDrivesTruncatedJumpRuns) {
   const Engine& engine = PointerEngine();
   auto query = engine.Compile("//listitem//keyword");
   ASSERT_TRUE(query.ok());
-  ASSERT_NE(query->tdsta(), nullptr);
+  ASSERT_TRUE(IsTdstaCompilable(query->relaxed_path()));
+  auto compiled =
+      CompileToTdsta(query->relaxed_path(), query->alphabet_ptr().get());
+  ASSERT_TRUE(compiled.ok());
+  const Sta tdsta = MinimizeTopDown(*compiled);
   auto full = engine.Run(*query);
   ASSERT_TRUE(full.ok());
   JumpRunResult all =
-      TopDownJumpRun(*query->tdsta(), engine.document(), engine.index());
+      TopDownJumpRun(tdsta, engine.document(), engine.index());
   ASSERT_TRUE(all.accepting);
   EXPECT_EQ(all.selected, full->nodes);
   JumpRunOptions limit;
   limit.max_selected = 5;
   JumpRunResult first =
-      TopDownJumpRun(*query->tdsta(), engine.document(), engine.index(),
-                     limit);
+      TopDownJumpRun(tdsta, engine.document(), engine.index(), limit);
   ASSERT_EQ(first.selected.size(),
             std::min<size_t>(5, full->nodes.size()));
   EXPECT_TRUE(std::equal(first.selected.begin(), first.selected.end(),
