@@ -104,12 +104,9 @@ int main(int argc, char** argv) {
   }
 
   // Load the collection: a MANIFEST means a saved collection; otherwise
-  // treat the directory as one saved index image served as "doc". The
-  // image is registered lazily but warmed before serving: an image's
-  // label ids must land verbatim in the shared alphabet, so it has to
-  // intern first, before any query compile claims those slots. A corrupt
-  // image degrades instead of failing startup — the slot stays
-  // quarantined, /health still answers, and queries report the
+  // treat the directory as one saved index image served as "doc". Either
+  // way images map on first touch. A corrupt image degrades instead of
+  // failing startup — /health still answers, and queries report the
   // corruption per row.
   xpwqo::Collection collection;
   if (FileExists(index_dir + "/MANIFEST")) {
@@ -128,11 +125,6 @@ int main(int argc, char** argv) {
     if (!added.ok()) {
       std::fprintf(stderr, "xpathd: %s\n", added.ToString().c_str());
       return 1;
-    }
-    auto warmed = collection.Get("doc");
-    if (!warmed.ok()) {
-      std::fprintf(stderr, "xpathd: warning: %s is unhealthy, serving anyway: %s\n",
-                   index_dir.c_str(), warmed.status().ToString().c_str());
     }
   }
   std::fprintf(stderr, "xpathd: serving %zu document(s) from %s\n",

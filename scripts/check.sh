@@ -20,6 +20,16 @@ if grep -rnE '#include "(sta/|xpath/compile_sta\.h)' src/core src/serve src/net;
   exit 1
 fi
 
+# Queries never write the alphabet: only loads (parsers, image and MANIFEST
+# readers) intern labels. Compilation resolves names with Alphabet::Find, so
+# nothing a client sends can grow shared state; no file under src/xpath,
+# src/core, src/serve or src/net may call Intern( on an alphabet.
+if grep -rnE '(->|\.)Intern\(' src/xpath src/core src/serve src/net; then
+  echo "check.sh: src/xpath, src/core, src/serve and src/net must not" \
+    "intern into an alphabet (compile with Alphabet::Find)" >&2
+  exit 1
+fi
+
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j"$(nproc)"
 (cd build && ctest --output-on-failure -j"$(nproc)")
@@ -167,9 +177,10 @@ cmake --build build-scalar -j"$(nproc)" --target xpwqo_tests
 # threads with mixed deadlines, cancellations and an unhealthy shard mix
 # against one runtime, plus a concurrent VerifyAll scrubber; BulkLoadStress
 # races LoadAll's parser fan-out (shared-alphabet interning) against
-# concurrent PrepareCached compilations; NetServerStress drives 8
-# concurrent persistent HTTP connections (mixed healthy/deadline/shed/
-# corrupt plus mid-query disconnects) through the epoll loop's
+# concurrent PrepareCached compilations, and a MANIFEST-less lazy image's
+# first touch against compiles of unseen names and cursors; NetServerStress
+# drives 8 concurrent persistent HTTP connections (mixed healthy/deadline/
+# shed/corrupt plus mid-query disconnects) through the epoll loop's
 # worker-to-loop completion handoff — TSan must come back clean.
 cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DXPWQO_SANITIZE=thread
 cmake --build build-tsan -j"$(nproc)" --target xpwqo_tests

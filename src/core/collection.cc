@@ -150,24 +150,6 @@ StatusOr<const Engine*> Collection::Get(std::string_view name) const {
   return Ensure(it->second);
 }
 
-StatusOr<std::shared_ptr<const PreparedQuery>> Collection::PrepareCached(
-    std::string_view xpath) const {
-  if (std::shared_ptr<const PreparedQuery> hit = cache_->Lookup(xpath)) {
-    return hit;
-  }
-  // Compile under the lazy mutex: a lazy image without a MANIFEST must
-  // intern its labels at exactly its own ids, so a compilation interning
-  // new labels may not land between a load's interns. (A duplicate compile
-  // between Lookup and here is harmless — both results are valid, one wins
-  // the cache.)
-  std::lock_guard<std::mutex> lock(*lazy_mu_);
-  XPWQO_ASSIGN_OR_RETURN(PreparedQuery query,
-                         PreparedQuery::Prepare(xpath, alphabet_));
-  auto shared = std::make_shared<const PreparedQuery>(std::move(query));
-  cache_->Insert(std::string(xpath), shared);
-  return shared;
-}
-
 StatusOr<ResultCursor> Collection::OpenCursor(
     std::string_view name, const PreparedQuery& query,
     const QueryOptions& options) const {

@@ -3,8 +3,8 @@
 // ingestion pipelines as a standalone Engine (pointer or succinct backend,
 // per document), but intern their labels into the collection's alphabet, so
 // a query prepared once binds to every document, including documents added
-// after the query was prepared (new labels get fresh ids; the compiled
-// label sets stay valid, wildcards aside — see Prepare).
+// after the query was prepared (a load that interns new labels makes a plan
+// that depended on them stale, and the plan rebinds when it runs).
 //
 // Documents can also be registered *lazily* (AddLazy): the slot holds a
 // loader instead of an engine, and the first query against the document —
@@ -15,13 +15,13 @@
 // slot stays loadable, so a transient I/O error can be retried.
 //
 // Thread-safety contract: Prepare/PrepareCached may run concurrently with
-// anything (the Alphabet is internally synchronized). Registration
-// (Add*/LoadAll/AddLazy) must not race with queries or other registrations.
-// Queries (Run/RunAll/OpenCursor, lazy first touches included) are freely
-// concurrent. The one hazard: an AddLazy image without a MANIFEST needs its
-// label ids to land verbatim, so no compile may intern a new label before or
-// while it loads — PrepareCached compiles under the lazy mutex, and xpathd
-// touches a single image before it serves.
+// anything — compiling only reads the internally synchronized Alphabet;
+// only loads intern. Registration (Add*/LoadAll/AddLazy) must not race with
+// queries or other registrations. Queries (Run/RunAll/OpenCursor, lazy
+// first touches included) are freely concurrent. No ordering rule remains
+// between queries and lazy images: since no compile writes the alphabet, an
+// AddLazy image without a MANIFEST lands its label ids verbatim however
+// many queries ran first.
 #ifndef XPWQO_CORE_COLLECTION_H_
 #define XPWQO_CORE_COLLECTION_H_
 
@@ -106,10 +106,11 @@ class Collection {
   /// Status in the report and are skipped; the rest load normally.
   ///
   /// Safe to run concurrently with Prepare/PrepareCached — compilation
-  /// interns through the same thread-safe alphabet the workers do. Like
-  /// Add*, registration must not race with queries or other registrations;
-  /// the new documents become visible only after all workers finish, in
-  /// spec order.
+  /// only reads the thread-safe alphabet the workers intern into, and a
+  /// plan compiled before a worker added its labels rebinds when it runs.
+  /// Like Add*, registration must not race with queries or other
+  /// registrations; the new documents become visible only after all
+  /// workers finish, in spec order.
   BulkLoadReport LoadAll(const std::vector<BulkLoadSpec>& specs,
                          unsigned threads = 0);
 
@@ -123,9 +124,10 @@ class Collection {
   /// images; any deferred construction that can fail with a Status fits.
   Status AddLazy(std::string name, LazyLoader loader);
 
-  /// Compiles a query against the shared alphabet; the result binds to
-  /// every document of the collection, current and future — unless a later
-  /// load makes its wildcard stale (PreparedQuery::stale): re-prepare then.
+  /// Compiles a query against the shared alphabet, which it only reads;
+  /// the result binds to every document of the collection, current and
+  /// future. When a later load makes it stale (PreparedQuery::stale), each
+  /// bind runs the shared query cache's recompilation instead.
   StatusOr<PreparedQuery> Prepare(std::string_view xpath) const {
     return PreparedQuery::Prepare(xpath, alphabet_);
   }
@@ -133,10 +135,11 @@ class Collection {
   /// Cache-through compilation against the collection's shared query cache:
   /// one compilation per query string per collection, whichever document it
   /// is later run on (a stale entry recompiles). Safe to call concurrently
-  /// with queries — a miss interns labels under the same lock that
-  /// serializes lazy loads.
+  /// with anything, lazy first touches included.
   StatusOr<std::shared_ptr<const PreparedQuery>> PrepareCached(
-      std::string_view xpath) const;
+      std::string_view xpath) const {
+    return cache_->GetOrPrepare(xpath, alphabet_);
+  }
 
   /// The shared compilation LRU (installed into every engine the collection
   /// creates); its hit/miss counters aggregate across the collection and

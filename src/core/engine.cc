@@ -233,47 +233,33 @@ internal::CursorContext Engine::Context() const {
   return ctx;
 }
 
-Status Engine::CheckRunnable(const PreparedQuery& query) const {
+StatusOr<std::shared_ptr<const PreparedQuery>> Engine::Bind(
+    const PreparedQuery& query) const {
   if (query.alphabet_ptr() != alphabet_) {
     return Status::InvalidArgument(
         "query was prepared against a different alphabet; prepare it "
         "through this engine (or its collection)");
   }
-  if (query.stale()) {
-    return Status::FailedPrecondition(
-        "query '" + query.ToString() +
-        "' has a wildcard compiled before an attribute or text label was "
-        "added to the alphabet; re-prepare it");
-  }
-  return Status::OK();
-}
-
-StatusOr<std::shared_ptr<const PreparedQuery>> Engine::PrepareCached(
-    std::string_view xpath) const {
-  if (std::shared_ptr<const PreparedQuery> hit = cache_->Lookup(xpath)) {
-    return hit;
-  }
-  XPWQO_ASSIGN_OR_RETURN(PreparedQuery query,
-                         PreparedQuery::Prepare(xpath, alphabet_));
-  auto shared = std::make_shared<const PreparedQuery>(std::move(query));
-  cache_->Insert(std::string(xpath), shared);
-  return shared;
+  if (!query.stale()) return std::shared_ptr<const PreparedQuery>();
+  return cache_->GetOrPrepare(query.ToString(), alphabet_);
 }
 
 StatusOr<ResultCursor> Engine::OpenCursor(const PreparedQuery& query,
                                           const QueryOptions& options) const {
-  XPWQO_RETURN_IF_ERROR(CheckRunnable(query));
+  XPWQO_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> rebound,
+                         Bind(query));
   XPWQO_ASSIGN_OR_RETURN(
       std::unique_ptr<internal::CursorImpl> impl,
-      internal::MakeCursorImpl(Context(), query, options,
+      internal::MakeCursorImpl(Context(), rebound ? *rebound : query, options,
                                /*allow_streaming=*/true));
-  return ResultCursor(std::move(impl), nullptr, 0, options.control);
+  return ResultCursor(std::move(impl), std::move(rebound), 0,
+                      options.control);
 }
 
 StatusOr<ResultCursor> Engine::OpenCursor(std::string_view xpath,
                                           const QueryOptions& options) const {
   XPWQO_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> query,
-                         PrepareCached(xpath));
+                         cache_->GetOrPrepare(xpath, alphabet_));
   return OpenCursor(std::move(query), options);
 }
 
@@ -283,7 +269,9 @@ StatusOr<ResultCursor> Engine::OpenCursor(
   if (query == nullptr) {
     return Status::InvalidArgument("OpenCursor requires a non-null query");
   }
-  XPWQO_RETURN_IF_ERROR(CheckRunnable(*query));
+  XPWQO_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> rebound,
+                         Bind(*query));
+  if (rebound != nullptr) query = std::move(rebound);
   XPWQO_ASSIGN_OR_RETURN(
       std::unique_ptr<internal::CursorImpl> impl,
       internal::MakeCursorImpl(Context(), *query, options,
@@ -294,13 +282,14 @@ StatusOr<ResultCursor> Engine::OpenCursor(
 
 StatusOr<QueryResult> Engine::Run(const PreparedQuery& query,
                                   const QueryOptions& options) const {
-  XPWQO_RETURN_IF_ERROR(CheckRunnable(query));
+  XPWQO_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> rebound,
+                         Bind(query));
   // Run is "drain the cursor" with streaming off: every strategy executes
   // its classic one-shot evaluation, so results, statistics and performance
   // are identical to the pre-cursor API.
   XPWQO_ASSIGN_OR_RETURN(
       std::unique_ptr<internal::CursorImpl> impl,
-      internal::MakeCursorImpl(Context(), query, options,
+      internal::MakeCursorImpl(Context(), rebound ? *rebound : query, options,
                                /*allow_streaming=*/false));
   ResultCursor cursor(std::move(impl));
   QueryResult out;
@@ -315,7 +304,7 @@ StatusOr<QueryResult> Engine::Run(const PreparedQuery& query,
 StatusOr<QueryResult> Engine::Run(std::string_view xpath,
                                   const QueryOptions& options) const {
   XPWQO_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> query,
-                         PrepareCached(xpath));
+                         cache_->GetOrPrepare(xpath, alphabet_));
   StatusOr<QueryResult> result = Run(*query, options);
   if (result.ok()) result->stats.query_cache_hits = cache_->hits();
   return result;
@@ -337,7 +326,7 @@ StatusOr<bool> Engine::Exists(std::string_view xpath,
                               const QueryOptions& options,
                               CursorStats* stats) const {
   XPWQO_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> query,
-                         PrepareCached(xpath));
+                         cache_->GetOrPrepare(xpath, alphabet_));
   return Exists(*query, options, stats);
 }
 
@@ -356,7 +345,7 @@ StatusOr<size_t> Engine::Count(std::string_view xpath,
                                const QueryOptions& options,
                                CursorStats* stats) const {
   XPWQO_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> query,
-                         PrepareCached(xpath));
+                         cache_->GetOrPrepare(xpath, alphabet_));
   return Count(*query, options, stats);
 }
 

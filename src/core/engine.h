@@ -28,9 +28,9 @@
 //
 // Thread-safety: a loaded Engine is const-thread-safe — concurrent Run()
 // and cursors are fine, including through the string overload (the query
-// cache is internally locked). Compiling a new query interns its name
-// tests into the shared Alphabet, which is internally synchronized, so
-// compilations may race each other and document loads freely.
+// cache is internally locked). Compiling only reads the shared Alphabet
+// (only loads intern), so compilations may race each other and document
+// loads freely; a plan a later load made stale rebinds when it runs.
 #ifndef XPWQO_CORE_ENGINE_H_
 #define XPWQO_CORE_ENGINE_H_
 
@@ -140,8 +140,9 @@ class Engine {
 
   /// Opens a streaming cursor over the query's results. The query must
   /// have been prepared against this engine's alphabet (else
-  /// kInvalidArgument) and must not be stale (else kFailedPrecondition:
-  /// re-prepare it); it and the engine must outlive the cursor.
+  /// kInvalidArgument); it and the engine must outlive the cursor. Like
+  /// every bind, a stale() query runs as the query cache's compilation of
+  /// its ToString(), which the cursor keeps alive.
   StatusOr<ResultCursor> OpenCursor(const PreparedQuery& query,
                                     const QueryOptions& options = {}) const;
 
@@ -257,12 +258,11 @@ class Engine {
   static StatusOr<Engine> LoadSuccinct(
       size_t input_bytes, std::shared_ptr<Alphabet> alphabet,
       const std::function<Status(Alphabet*, TreeEventSink*)>& parse);
-  /// OK when `query` can run here: prepared against this engine's alphabet
-  /// and not stale (PreparedQuery::stale).
-  Status CheckRunnable(const PreparedQuery& query) const;
-  /// Cache-through compilation of a query string.
-  StatusOr<std::shared_ptr<const PreparedQuery>> PrepareCached(
-      std::string_view xpath) const;
+  /// The plan `query` runs as here: null when it runs as is, the query
+  /// cache's compilation of its canonical string when it is stale, and
+  /// kInvalidArgument when it was prepared against another alphabet.
+  StatusOr<std::shared_ptr<const PreparedQuery>> Bind(
+      const PreparedQuery& query) const;
   internal::CursorContext Context() const;
 
   std::shared_ptr<Alphabet> alphabet_;

@@ -9,25 +9,33 @@ namespace {
 /// What a path contains anywhere, predicate paths included.
 struct PathShape {
   bool value_cmp = false;  // a value comparison
-  bool wildcard = false;   // a '*' or node() test
+  /// A test whose label set a later load can change: a '*' or node() (it
+  /// excludes the attribute and text labels known at compile time), or —
+  /// surveyed with an alphabet — a name it lacks (that compiles to ∅).
+  bool open = false;
 };
 
-void Survey(const Path& path, PathShape* shape);
+void Survey(const Path& path, const Alphabet* alphabet, PathShape* shape);
 
-void Survey(const PredExpr& pred, PathShape* shape) {
+void Survey(const PredExpr& pred, const Alphabet* alphabet,
+            PathShape* shape) {
   if (pred.kind == PredExpr::Kind::kValueCmp) shape->value_cmp = true;
-  if (pred.lhs != nullptr) Survey(*pred.lhs, shape);
-  if (pred.rhs != nullptr) Survey(*pred.rhs, shape);
-  Survey(pred.path, shape);
+  if (pred.lhs != nullptr) Survey(*pred.lhs, alphabet, shape);
+  if (pred.rhs != nullptr) Survey(*pred.rhs, alphabet, shape);
+  Survey(pred.path, alphabet, shape);
 }
 
-void Survey(const Path& path, PathShape* shape) {
+void Survey(const Path& path, const Alphabet* alphabet, PathShape* shape) {
   for (const Step& step : path.steps) {
-    if (step.test.kind == NodeTestKind::kStar ||
-        step.test.kind == NodeTestKind::kNode) {
-      shape->wildcard = true;
+    const NodeTest& test = step.test;
+    const std::string_view name = test.kind == NodeTestKind::kText
+                                      ? std::string_view("#text")
+                                      : std::string_view(test.name);
+    if (test.kind == NodeTestKind::kStar || test.kind == NodeTestKind::kNode ||
+        (alphabet != nullptr && alphabet->Find(name) == kNoLabel)) {
+      shape->open = true;
     }
-    for (const auto& pred : step.predicates) Survey(*pred, shape);
+    for (const auto& pred : step.predicates) Survey(*pred, alphabet, shape);
   }
 }
 
@@ -46,7 +54,7 @@ Path RelaxValuePredicates(const Path& path, bool* stripped) {
     step.test = s.test;
     for (const auto& pred : s.predicates) {
       PathShape shape;
-      Survey(*pred, &shape);
+      Survey(*pred, nullptr, &shape);
       if (shape.value_cmp) {
         *stripped = true;
         continue;
@@ -76,24 +84,19 @@ StatusOr<PreparedQuery> PreparedQuery::Prepare(
   query.relaxed_path_ = RelaxValuePredicates(query.path_, &stripped);
   query.has_value_predicates_ = stripped;
   const Path& plan_path = query.relaxed_path_;
+  // Read the size before compiling: any label a concurrent load interns
+  // from here on makes an open plan stale, whether the compile saw it or
+  // not.
+  const int size = alphabet->size();
   PathShape shape;
-  Survey(plan_path, &shape);
-  // A wildcard compiles against the attribute and text labels interned so
-  // far, so the plan records that basis. When this very compilation
-  // interned another such label (a name test like '@id' compiled after
-  // the wildcard), a second pass lets the wildcard exclude it too.
-  for (int pass = 0; pass < 2; ++pass) {
-    if (shape.wildcard) {
-      query.wildcard_basis_ = alphabet->non_element_labels();
-    }
-    XPWQO_ASSIGN_OR_RETURN(query.asta_,
-                           CompileToAsta(plan_path, alphabet.get()));
-    if (IsHybridEvaluable(plan_path)) {
-      XPWQO_ASSIGN_OR_RETURN(HybridPlan plan,
-                             HybridPlan::Make(plan_path, alphabet.get()));
-      query.hybrid_ = std::make_unique<HybridPlan>(std::move(plan));
-    }
-    if (!query.stale()) break;
+  Survey(plan_path, alphabet.get(), &shape);
+  if (shape.open) query.basis_ = size;
+  XPWQO_ASSIGN_OR_RETURN(query.asta_,
+                         CompileToAsta(plan_path, alphabet.get()));
+  if (IsHybridEvaluable(plan_path)) {
+    XPWQO_ASSIGN_OR_RETURN(HybridPlan plan,
+                           HybridPlan::Make(plan_path, alphabet.get()));
+    query.hybrid_ = std::make_unique<HybridPlan>(std::move(plan));
   }
   query.streamable_ = true;
   for (const Step& step : plan_path.steps) {

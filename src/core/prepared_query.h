@@ -3,14 +3,13 @@
 // a ResultCursor runs: the Path AST, the ASTA (all Figure-4 strategies) and
 // a HybridPlan for descendant chains. A prepared query is immutable after
 // Prepare() and bindable to any document or Engine built over the same
-// Alphabet — compile once, run on every shard.
+// Alphabet, current and future — compile once, run on every shard.
 //
-// Thread-safety contract: Prepare() interns the query's name tests into the
-// internally synchronized Alphabet, so it may race other compilations and
-// document loads (Collection states the one lazy-image ordering hazard).
-// Afterwards the object is const-thread-safe: concurrent Run()/ResultCursor
-// evaluations of one PreparedQuery are safe (evaluation state lives in the
-// evaluators, never in the query).
+// Thread-safety contract: Prepare() only reads the internally synchronized
+// Alphabet (only document loads intern), so it may race other compilations,
+// loads and queries freely. Afterwards the object is const-thread-safe:
+// concurrent Run()/ResultCursor evaluations of one PreparedQuery are safe
+// (evaluation state lives in the evaluators, never in the query).
 #ifndef XPWQO_CORE_PREPARED_QUERY_H_
 #define XPWQO_CORE_PREPARED_QUERY_H_
 
@@ -28,8 +27,9 @@ namespace xpwqo {
 
 class PreparedQuery {
  public:
-  /// Parses and compiles `xpath` against `alphabet` (which must be
-  /// non-null; new name tests are interned into it).
+  /// Parses and compiles `xpath` against `alphabet`, which must be
+  /// non-null and is never written: a name it lacks matches nothing until
+  /// a load interns a label, which makes the query stale().
   static StatusOr<PreparedQuery> Prepare(
       std::string_view xpath, const std::shared_ptr<Alphabet>& alphabet);
 
@@ -55,15 +55,14 @@ class PreparedQuery {
   /// no predicates, so every automaton mark is final the moment its region
   /// completes (selection queries of this shape never reject a tree).
   bool streamable() const { return streamable_; }
-  /// True when a '*'/node() test no longer fits the alphabet: wildcards
-  /// compile to "every label except the attribute and text labels interned
-  /// so far", and another such label has been interned since. Engine
-  /// refuses a stale query (kFailedPrecondition) and QueryCache recompiles
-  /// it. Always false without a wildcard.
-  bool stale() const {
-    return wildcard_basis_ >= 0 &&
-           alphabet_->non_element_labels() > wildcard_basis_;
-  }
+  /// True when the plan may no longer fit the alphabet: it has a '*' or
+  /// node() test (compiled to "every label except the attribute and text
+  /// labels known so far") or a name test the alphabet lacked, and a load
+  /// has interned a label since. Engines then run the query cache's fresh
+  /// compilation of ToString() instead, and the cache recompiles a stale
+  /// entry. Always false without such a test: the plan fits every later
+  /// alphabet.
+  bool stale() const { return basis_ >= 0 && alphabet_->size() > basis_; }
   /// The alphabet the query was compiled against; evaluation requires the
   /// document to share it.
   const std::shared_ptr<Alphabet>& alphabet_ptr() const { return alphabet_; }
@@ -80,9 +79,9 @@ class PreparedQuery {
   Asta asta_;
   std::unique_ptr<HybridPlan> hybrid_;  // null if not hybrid-evaluable
   bool streamable_ = false;
-  // Alphabet::non_element_labels() the wildcard tests were compiled
-  // against; -1 when the plan has no wildcard test.
-  int wildcard_basis_ = -1;
+  // Alphabet::size() read before compiling; -1 when no test of the plan
+  // changes meaning as the alphabet grows.
+  int basis_ = -1;
 };
 
 }  // namespace xpwqo

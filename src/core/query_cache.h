@@ -9,6 +9,9 @@
 // once per collection rather than once per shard — the hit/miss counters
 // then aggregate across the whole collection and surface in the serving
 // stats snapshot.
+// A stale entry (PreparedQuery::stale) recompiles, and engines rebind a
+// stale held plan to the entry for its canonical string, so every surface
+// shares one recompile.
 #ifndef XPWQO_CORE_QUERY_CACHE_H_
 #define XPWQO_CORE_QUERY_CACHE_H_
 
@@ -31,33 +34,34 @@ class QueryCache {
   explicit QueryCache(size_t capacity = kDefaultCapacity)
       : capacity_(capacity > 0 ? capacity : 1) {}
 
-  /// The cached compilation for `xpath`, or null. A hit moves the entry to
-  /// the front of the LRU; a null return counts as a miss. A stale entry
-  /// (PreparedQuery::stale) is dropped and misses, so the caller recompiles.
-  std::shared_ptr<const PreparedQuery> Lookup(std::string_view xpath) {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->first == xpath) {
-        if (it->second->stale()) {
-          entries_.erase(it);
-          break;
-        }
-        entries_.splice(entries_.begin(), entries_, it);
-        ++hits_;
-        return entries_.front().second;
-      }
-    }
-    ++misses_;
-    return nullptr;
-  }
-
-  /// Inserts a fresh compilation, evicting the least-recently-used entry at
-  /// capacity. Racing inserts of the same string are harmless: both
+  /// The compilation of `xpath` against `alphabet`: the cached one when
+  /// present and not stale (a hit, moved to the front of the LRU), else a
+  /// fresh one that replaces it (a miss, evicting the least-recently-used
+  /// entry at capacity). Racing misses on one string are harmless: both
   /// compilations are valid, the loser is simply evicted earlier.
-  void Insert(std::string xpath, std::shared_ptr<const PreparedQuery> query) {
+  StatusOr<std::shared_ptr<const PreparedQuery>> GetOrPrepare(
+      std::string_view xpath, const std::shared_ptr<Alphabet>& alphabet) {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+        if (it->first != xpath) continue;
+        if (!it->second->stale()) {
+          entries_.splice(entries_.begin(), entries_, it);
+          ++hits_;
+          return entries_.front().second;
+        }
+        entries_.erase(it);
+        break;
+      }
+      ++misses_;
+    }
+    XPWQO_ASSIGN_OR_RETURN(PreparedQuery query,
+                           PreparedQuery::Prepare(xpath, alphabet));
+    auto shared = std::make_shared<const PreparedQuery>(std::move(query));
     std::lock_guard<std::mutex> lock(mu_);
-    entries_.emplace_front(std::move(xpath), std::move(query));
+    entries_.emplace_front(std::string(xpath), shared);
     if (entries_.size() > capacity_) entries_.pop_back();
+    return shared;
   }
 
   int64_t hits() const {

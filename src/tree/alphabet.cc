@@ -19,9 +19,6 @@ LabelId Alphabet::Intern(std::string_view name) {
   LabelId id = static_cast<LabelId>(names_.size());
   names_.emplace_back(name);
   ids_.emplace(std::string_view(names_.back()), id);
-  if (!name.empty() && (name[0] == '@' || name[0] == '#')) {
-    ++non_element_labels_;
-  }
   return id;
 }
 
@@ -40,11 +37,6 @@ const std::string& Alphabet::Name(LabelId id) const {
 int Alphabet::size() const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   return static_cast<int>(names_.size());
-}
-
-int Alphabet::non_element_labels() const {
-  std::shared_lock<std::shared_mutex> lock(mu_);
-  return non_element_labels_;
 }
 
 }  // namespace xpwqo

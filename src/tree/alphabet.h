@@ -13,16 +13,19 @@
 
 namespace xpwqo {
 
-/// A dense, append-only string <-> LabelId table. Documents own one; query
-/// compilation may add labels that do not occur in the document (they simply
-/// have zero occurrences in the index).
+/// A dense, append-only string <-> LabelId table. Documents own one, and
+/// only loads write it: document parsers and image/MANIFEST readers intern,
+/// while query compilation only reads (Find), so no query string can grow
+/// it. A name the alphabet lacks labels no node.
 ///
 /// Thread-safety: fully internally synchronized. Lookups (Find, Name, size,
 /// and the hit path of Intern) take a shared lock; only interning a *new*
 /// label takes the exclusive lock. This makes the alphabet the single
 /// synchronization point of the parallel bulk loader
 /// (Collection::LoadAll): concurrent document parses intern through one
-/// shared alphabet while queries compile against it. The streaming parser
+/// shared alphabet while queries compile against it. A compiled query
+/// whose meaning depends on labels not yet interned records size() and
+/// rebinds once it grows (PreparedQuery::stale). The streaming parser
 /// keeps a per-document intern cache in front of this table, so the shared
 /// lock is touched once per *distinct* label per document, not once per
 /// node. Name() returns a stable reference — entries live in a deque and
@@ -47,12 +50,6 @@ class Alphabet {
   /// Number of interned labels.
   int size() const;
 
-  /// Number of interned labels that name no element: attributes ("@x")
-  /// and character data ("#text"). A compiled '*' excludes exactly these
-  /// (node() the attributes among them), so a rise in this count is what
-  /// makes a compiled wildcard stale (PreparedQuery::stale).
-  int non_element_labels() const;
-
  private:
   mutable std::shared_mutex mu_;
   /// Deque, not vector: growth never moves existing strings, so Name()'s
@@ -61,7 +58,6 @@ class Alphabet {
   std::deque<std::string> names_;
   /// Keys view into names_ entries — one stored copy per label.
   std::unordered_map<std::string_view, LabelId> ids_;
-  int non_element_labels_ = 0;
 };
 
 }  // namespace xpwqo

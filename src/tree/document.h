@@ -67,8 +67,8 @@ class Document {
   const std::string& text(NodeId n) const;
 
   const Alphabet& alphabet() const { return *alphabet_; }
-  /// Shared, mutable alphabet handle: query compilation may intern labels
-  /// that do not occur in the document.
+  /// Shared alphabet handle: documents loaded later into the same
+  /// collection intern through it; query compilation only reads it.
   const std::shared_ptr<Alphabet>& alphabet_ptr() const { return alphabet_; }
 
   /// Name of n's label.

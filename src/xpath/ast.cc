@@ -38,9 +38,13 @@ std::string ToString(const Path& path) {
   for (size_t i = 0; i < path.steps.size(); ++i) {
     const Step& s = path.steps[i];
     if (i > 0 || path.absolute) out += "/";
-    out += AxisName(s.axis);
-    out += "::";
-    out += TestToString(s.test);
+    if (s.axis == Axis::kAttribute && s.test.kind == NodeTestKind::kName) {
+      out += s.test.name;  // the name carries its '@' prefix
+    } else {
+      out += AxisName(s.axis);
+      out += "::";
+      out += TestToString(s.test);
+    }
     for (const auto& p : s.predicates) {
       out += "[" + ToString(*p) + "]";
     }
@@ -58,11 +62,16 @@ std::string ToString(const PredExpr& pred) {
       return "not(" + ToString(*pred.lhs) + ")";
     case PredExpr::Kind::kPath:
       return ToString(pred.path);
-    case PredExpr::Kind::kValueCmp:
+    case PredExpr::Kind::kValueCmp: {
+      // XPath literals have no escapes: quote with whichever character the
+      // literal does not contain (the parser never yields one with both).
+      const char quote =
+          pred.literal.find('\'') == std::string::npos ? '\'' : '"';
+      const std::string literal = quote + pred.literal + quote;
       return pred.op == ValueCmpOp::kContains
-                 ? "contains(" + ToString(pred.path) + ",'" + pred.literal +
-                       "')"
-                 : ToString(pred.path) + "='" + pred.literal + "'";
+                 ? "contains(" + ToString(pred.path) + "," + literal + ")"
+                 : ToString(pred.path) + "=" + literal;
+    }
   }
   return "?";
 }

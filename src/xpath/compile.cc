@@ -7,7 +7,7 @@ namespace {
 
 class Compiler {
  public:
-  Compiler(const Path& path, size_t from, Alphabet* alphabet)
+  Compiler(const Path& path, size_t from, const Alphabet* alphabet)
       : path_(path), from_(from), alphabet_(alphabet) {}
 
   StatusOr<Asta> Compile() {
@@ -37,7 +37,12 @@ class Compiler {
   LabelSet TestToLabelSet(const NodeTest& test) {
     switch (test.kind) {
       case NodeTestKind::kName:
-        return LabelSet::Of({alphabet_->Intern(test.name)});
+      case NodeTestKind::kText: {
+        const LabelId id = alphabet_->Find(
+            test.kind == NodeTestKind::kText ? std::string_view("#text")
+                                             : std::string_view(test.name));
+        return id == kNoLabel ? LabelSet::None() : LabelSet::Of({id});
+      }
       case NodeTestKind::kStar:
       case NodeTestKind::kNode: {
         bool exclude_text = test.kind == NodeTestKind::kStar;
@@ -48,8 +53,6 @@ class Compiler {
         }
         return LabelSet::AllExcept(std::move(excluded));
       }
-      case NodeTestKind::kText:
-        return LabelSet::Of({alphabet_->Intern("#text")});
     }
     return LabelSet::None();
   }
@@ -177,18 +180,18 @@ class Compiler {
 
   const Path& path_;
   size_t from_;
-  Alphabet* alphabet_;
+  const Alphabet* alphabet_;
   Asta asta_;
 };
 
 }  // namespace
 
-StatusOr<Asta> CompileToAsta(const Path& path, Alphabet* alphabet) {
+StatusOr<Asta> CompileToAsta(const Path& path, const Alphabet* alphabet) {
   return Compiler(path, 0, alphabet).Compile();
 }
 
 StatusOr<Asta> CompileSuffixToAsta(const Path& path, size_t from,
-                                   Alphabet* alphabet) {
+                                   const Alphabet* alphabet) {
   XPWQO_CHECK(from < path.steps.size());
   XPWQO_CHECK(path.steps[from].axis == Axis::kDescendant);
   return Compiler(path, from, alphabet).Compile();

@@ -23,16 +23,17 @@
 
 namespace xpwqo {
 
-/// Compiles `path` into a finalized ASTA. Name tests are interned into
-/// `alphabet` (labels absent from the document simply never match).
-StatusOr<Asta> CompileToAsta(const Path& path, Alphabet* alphabet);
+/// Compiles `path` into a finalized ASTA. Compilation only reads
+/// `alphabet`: a name test resolves with Alphabet::Find, and a name it has
+/// never interned compiles to the empty label set (no node carries it).
+StatusOr<Asta> CompileToAsta(const Path& path, const Alphabet* alphabet);
 
 /// Compiles only the steps [from, end) of `path` as a descendant-anchored
 /// sub-query (first compiled step searches strict descendants of the
 /// context). Used by the hybrid evaluation strategy for the suffix below the
 /// pivot. Requires from < path.steps.size().
 StatusOr<Asta> CompileSuffixToAsta(const Path& path, size_t from,
-                                   Alphabet* alphabet);
+                                   const Alphabet* alphabet);
 
 }  // namespace xpwqo
 

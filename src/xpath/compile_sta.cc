@@ -24,7 +24,7 @@ bool IsTdstaCompilable(const Path& path) {
   return true;
 }
 
-StatusOr<Sta> CompileToTdsta(const Path& path, Alphabet* alphabet) {
+StatusOr<Sta> CompileToTdsta(const Path& path, const Alphabet* alphabet) {
   if (!IsTdstaCompilable(path)) {
     return Status::Unimplemented(
         "TDSTA compilation covers child/descendant name-test chains only");
@@ -37,9 +37,10 @@ StatusOr<Sta> CompileToTdsta(const Path& path, Alphabet* alphabet) {
   sta.AddBottom(q_top);
   for (StateId s = 0; s < k; ++s) sta.AddBottom(s);
 
-  std::vector<LabelId> labels;
+  std::vector<LabelSet> tests;  // one per step; ∅ for an unknown name
   for (const Step& step : path.steps) {
-    labels.push_back(alphabet->Intern(step.test.name));
+    const LabelId id = alphabet->Find(step.test.name);
+    tests.push_back(id == kNoLabel ? LabelSet::None() : LabelSet::Of({id}));
   }
 
   for (int i = 0; i < k; ++i) {
@@ -53,21 +54,19 @@ StatusOr<Sta> CompileToTdsta(const Path& path, Alphabet* alphabet) {
     if (is_last && is_desc) on_match_left = self;  // keep scanning below
     StateId on_match_right = self;
     if (i == 0 && !is_desc) on_match_right = q_top;  // root has no siblings
-    sta.AddTransition(self, LabelSet::Of({labels[i]}), on_match_left,
-                      on_match_right);
+    sta.AddTransition(self, tests[i], on_match_left, on_match_right);
     // On a mismatch.
     if (i == 0 && !is_desc) {
       // Root-anchored child step: a mismatching root rejects the tree.
-      sta.AddTransition(self, LabelSet::AllExcept({labels[i]}), q_sink,
-                        q_sink);
+      sta.AddTransition(self, tests[i].Complement(), q_sink, q_sink);
     } else if (is_desc) {
-      sta.AddTransition(self, LabelSet::AllExcept({labels[i]}), self, self);
+      sta.AddTransition(self, tests[i].Complement(), self, self);
     } else {
       // Child scan: skip the mismatching child's subtree, continue right.
-      sta.AddTransition(self, LabelSet::AllExcept({labels[i]}), q_top, self);
+      sta.AddTransition(self, tests[i].Complement(), q_top, self);
     }
   }
-  sta.AddSelecting(k - 1, LabelSet::Of({labels[k - 1]}));
+  sta.AddSelecting(k - 1, tests[k - 1]);
   sta.AddTransition(q_top, LabelSet::All(), q_top, q_top);
   sta.AddTransition(q_sink, LabelSet::All(), q_sink, q_sink);
   return sta;

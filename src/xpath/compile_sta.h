@@ -18,8 +18,9 @@ namespace xpwqo {
 bool IsTdstaCompilable(const Path& path);
 
 /// Compiles a compilable path into a complete TDSTA. Returns Unimplemented
-/// for paths outside the restricted fragment.
-StatusOr<Sta> CompileToTdsta(const Path& path, Alphabet* alphabet);
+/// for paths outside the restricted fragment. Only reads `alphabet`: a
+/// name it has never interned matches no label.
+StatusOr<Sta> CompileToTdsta(const Path& path, const Alphabet* alphabet);
 
 }  // namespace xpwqo
 

@@ -17,14 +17,15 @@ bool IsHybridEvaluable(const Path& path) {
   return true;
 }
 
-StatusOr<HybridPlan> HybridPlan::Make(const Path& path, Alphabet* alphabet) {
+StatusOr<HybridPlan> HybridPlan::Make(const Path& path,
+                                      const Alphabet* alphabet) {
   if (!IsHybridEvaluable(path)) {
     return Status::InvalidArgument(
         "hybrid evaluation requires a //-chain of name tests");
   }
   HybridPlan plan;
   for (const Step& step : path.steps) {
-    plan.labels_.push_back(alphabet->Intern(step.test.name));
+    plan.labels_.push_back(alphabet->Find(step.test.name));
   }
   XPWQO_ASSIGN_OR_RETURN(plan.full_asta_, CompileToAsta(path, alphabet));
   plan.suffix_astas_.resize(path.steps.size());

@@ -38,7 +38,10 @@ struct HybridStats {
 class HybridPlan {
  public:
   /// Builds a plan. Fails if the path shape is not hybrid-evaluable.
-  static StatusOr<HybridPlan> Make(const Path& path, Alphabet* alphabet);
+  /// Labels the alphabet has never seen stay kNoLabel, which the label
+  /// index counts as empty, so such a plan selects nothing.
+  static StatusOr<HybridPlan> Make(const Path& path,
+                                   const Alphabet* alphabet);
 
   /// Runs the plan. Results are sorted and duplicate-free. With a non-null
   /// `control`, the run stops early on deadline / cancellation / budget and

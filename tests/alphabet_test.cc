@@ -42,8 +42,8 @@ TEST(AlphabetTest, SpecialLabelNamesAreOrdinary) {
   EXPECT_EQ(a.Name(text), "#text");
   EXPECT_EQ(a.Name(attr), "@id");
   a.Intern("book");
-  a.Intern("@id");
-  EXPECT_EQ(a.non_element_labels(), 2);  // '#text', '@id'; no element, once
+  EXPECT_EQ(a.Intern("@id"), attr);
+  EXPECT_EQ(a.size(), 3);  // '#text', '@id', 'book'; '@id' once
 }
 
 }  // namespace

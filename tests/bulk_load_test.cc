@@ -2,7 +2,8 @@
 // the one shared alphabet. Functional coverage (mixed good/malformed
 // shards, duplicate names, spec-order registration, thread-count parity)
 // plus a BulkLoadStress suite that races LoadAll against concurrent
-// PrepareCached — the documented safe concurrency — for the TSan pass.
+// PrepareCached, and a lazy image's first touch against compiles and
+// cursors — the documented safe concurrency — for the TSan pass.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/collection.h"
+#include "persist/index_image.h"
 
 namespace xpwqo {
 namespace {
@@ -188,9 +190,9 @@ TEST_F(BulkLoadTest, EmptyBatchIsANoOp) {
 
 // The TSan target: LoadAll racing the documented-safe concurrent calls.
 // Worker threads intern labels into the shared alphabet while another
-// thread compiles fresh queries (which also interns) through
-// PrepareCached. Any unsynchronized access to the alphabet or the query
-// cache shows up here under -DXPWQO_SANITIZE=thread.
+// thread compiles fresh queries (which read it) through PrepareCached.
+// Any unsynchronized access to the alphabet or the query cache shows up
+// here under -DXPWQO_SANITIZE=thread.
 TEST(BulkLoadStress, ConcurrentPrepareDuringLoadAll) {
   Collection library;
   const std::string dir = ::testing::TempDir();
@@ -243,6 +245,63 @@ TEST(BulkLoadStress, ConcurrentPrepareDuringLoadAll) {
   }
   EXPECT_EQ(total, 20u);  // 10 good shards x 2 <p> each
   for (const std::string& p : paths) std::remove(p.c_str());
+}
+
+// A saved image registered lazily without a MANIFEST (xpathd's
+// single-image mode) lands its label ids verbatim on first touch. Race that
+// first touch against compiles of names no document carries and against
+// cursors, both through strings and through a plan held from before the
+// load: every answer must be right and the alphabet must end as the
+// image's own.
+TEST(BulkLoadStress, LazyFirstTouchRacesUnseenCompilesAndCursors) {
+  auto built = Engine::FromXmlString(
+      "<doc><sec><p>a</p><p>b</p></sec><sec><p>c</p><q/></sec></doc>",
+      TreeBackend::kSuccinct);
+  ASSERT_TRUE(built.ok());
+  const std::string dir = ::testing::TempDir() + "bulk_lazy_" +
+                          std::to_string(::getpid());
+  ASSERT_TRUE(SaveIndexImage(*built, dir).ok());
+  const int image_labels = built->alphabet().size();
+
+  for (int round = 0; round < 3; ++round) {
+    Collection library;
+    ASSERT_TRUE(library
+                    .AddLazy("doc",
+                             [dir](std::shared_ptr<Alphabet> alphabet) {
+                               return OpenIndexImage(dir,
+                                                     std::move(alphabet));
+                             })
+                    .ok());
+    auto held = library.Prepare("//sec/p");
+    ASSERT_TRUE(held.ok());
+    std::atomic<bool> go{false};
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 2; ++t) {
+      threads.emplace_back([&, t] {
+        while (!go.load()) std::this_thread::yield();
+        for (int i = 0; i < 100; ++i) {
+          const std::string n = std::to_string(t) + "_" + std::to_string(i);
+          if (!library.PrepareCached("//n" + n).ok()) ++wrong;
+          if (!library.PrepareCached("//sec[x" + n + "]/p").ok()) ++wrong;
+        }
+      });
+      threads.emplace_back([&, t] {
+        while (!go.load()) std::this_thread::yield();
+        for (int i = 0; i < 50; ++i) {
+          auto cursor = t == 0 ? library.OpenCursor("doc", "//sec/p")
+                               : library.OpenCursor("doc", *held);
+          if (!cursor.ok() || cursor->Drain().size() != 3) ++wrong;
+          auto none = library.OpenCursor("doc", "//sec[q]/zz");
+          if (!none.ok() || !none->Drain().empty()) ++wrong;
+        }
+      });
+    }
+    go.store(true);
+    for (std::thread& t : threads) t.join();
+    EXPECT_EQ(wrong.load(), 0) << "round " << round;
+    EXPECT_EQ(library.alphabet_ptr()->size(), image_labels);
+  }
 }
 
 }  // namespace

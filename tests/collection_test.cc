@@ -81,25 +81,34 @@ constexpr const char* kBookWithLang =
 TEST(CollectionTest, WildcardPreparedBeforeLoadingMustReprepare) {
   // '*' compiles to "every label except the attribute and text labels
   // known now". The load below adds '@id' and '#text', which that plan
-  // would select; it must refuse to run instead of answering wrongly.
+  // would select; the held plan is stale, so every bind runs a fresh
+  // compilation instead of answering wrongly.
   Collection library;
   auto early = library.Prepare("//book/*");
   ASSERT_TRUE(early.ok());
   ASSERT_TRUE(library.AddXmlString("d", kBookWithId).ok());
+  EXPECT_TRUE(early->stale());
 
-  auto stale = library.OpenCursor("d", *early);
-  ASSERT_FALSE(stale.ok());
-  EXPECT_EQ(stale.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_EQ(library.RunAll(*early).status().code(),
-            StatusCode::kFailedPrecondition);
+  auto cursor = library.OpenCursor("d", *early);
+  ASSERT_TRUE(cursor.ok()) << cursor.status();
+  std::vector<NodeId> nodes = cursor->Drain();
+  ASSERT_EQ(nodes.size(), 1u);  // <t>, not @id or its #text
+  EXPECT_EQ(library.Find("d")->PathTo(nodes[0]), "/r/book/t");
+  auto all = library.RunAll(*early);
+  ASSERT_TRUE(all.ok()) << all.status();
+  ASSERT_EQ(all->size(), 1u);
+  EXPECT_EQ((*all)[0].result.nodes.size(), 1u);
 
   auto fresh = library.Prepare("//book/*");
   ASSERT_TRUE(fresh.ok());
-  // A new element label leaves the wildcard valid: '*' already covers it.
+  EXPECT_FALSE(fresh->stale());
+  // Compiling a name the alphabet lacks writes nothing, so the fresh
+  // wildcard stays current.
   ASSERT_TRUE(library.Prepare("//chapter").ok());
-  auto cursor = library.OpenCursor("d", *fresh);
-  ASSERT_TRUE(cursor.ok());
-  EXPECT_EQ(cursor->Drain().size(), 1u);  // <t>, not @id
+  EXPECT_FALSE(fresh->stale());
+  auto again = library.OpenCursor("d", *fresh);
+  ASSERT_TRUE(again.ok());
+  EXPECT_EQ(again->Drain().size(), 1u);
 }
 
 TEST(CollectionTest, CachedWildcardRecompilesAfterNewAttributeLabel) {
@@ -109,18 +118,30 @@ TEST(CollectionTest, CachedWildcardRecompilesAfterNewAttributeLabel) {
   ASSERT_TRUE(cached.ok());
   ASSERT_TRUE(library.AddXmlString("b", kBookWithLang).ok());  // new @lang
 
-  // Holding the old compilation is a clean error, not a wrong answer.
+  // Holding the old compilation still answers right: the bind rebinds it
+  // to the cache entry for its canonical string, compiling that once.
   const Engine* b = library.Find("b");
   ASSERT_NE(b, nullptr);
-  EXPECT_EQ(b->OpenCursor(*cached).status().code(),
-            StatusCode::kFailedPrecondition);
-
-  // The string path treats the stale entry as a miss and recompiles.
   const int64_t misses = library.query_cache()->misses();
-  auto cursor = library.OpenCursor("b", "//book/*");
-  ASSERT_TRUE(cursor.ok());
-  EXPECT_EQ(cursor->Drain().size(), 1u);  // <t>, not @lang
+  auto held = b->OpenCursor(*cached);
+  ASSERT_TRUE(held.ok()) << held.status();
+  std::vector<NodeId> nodes = held->Drain();
+  ASSERT_EQ(nodes.size(), 1u);  // <t>, not @lang
+  EXPECT_EQ(b->PathTo(nodes[0]), "/r/book/t");
   EXPECT_EQ(library.query_cache()->misses(), misses + 1);
+
+  // The string path for the same canonical query hits that recompilation
+  // instead of compiling again.
+  auto cursor = library.OpenCursor("b", (*cached)->ToString());
+  ASSERT_TRUE(cursor.ok());
+  EXPECT_EQ(cursor->Drain().size(), 1u);
+  EXPECT_EQ(library.query_cache()->misses(), misses + 1);
+
+  // The stale entry under the original string misses once and recompiles.
+  auto by_string = library.OpenCursor("b", "//book/*");
+  ASSERT_TRUE(by_string.ok());
+  EXPECT_EQ(by_string->Drain().size(), 1u);
+  EXPECT_EQ(library.query_cache()->misses(), misses + 2);
 }
 
 TEST(CollectionTest, WildcardExcludesLabelsItsOwnCompileInterned) {

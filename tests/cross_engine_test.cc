@@ -17,12 +17,14 @@
 #include "core/cursor.h"
 #include "core/engine.h"
 #include "core/prepared_query.h"
+#include "index/text_store.h"
 #include "query_gen.h"
 #include "sta/minimize.h"
 #include "sta/run.h"
 #include "sta/topdown_jump.h"
 #include "test_util.h"
 #include "xmark/generator.h"
+#include "xml/parser.h"
 #include "xpath/compile.h"
 #include "xpath/compile_sta.h"
 #include "xpath/hybrid.h"
@@ -85,9 +87,21 @@ void CheckAllEngines(const Document& doc, const std::string& query) {
   ASSERT_TRUE(path.ok()) << path.status();
   auto expect = EvalNodeSetBaseline(*path, doc);
   ASSERT_TRUE(expect.ok()) << expect.status();
+  // Compiling only reads the alphabet, also for names the document lacks.
+  const int labels = doc.alphabet().size();
 
-  auto asta = CompileToAsta(*path, doc.alphabet_ptr().get());
+  // The automaton plans run the structural relaxation, which with value
+  // predicates selects a superset; the cursors' post-filter narrows it.
+  auto prepared = PreparedQuery::Prepare(query, doc.alphabet_ptr());
+  ASSERT_TRUE(prepared.ok()) << prepared.status();
+  EXPECT_EQ(doc.alphabet().size(), labels) << "Prepare wrote the alphabet";
+  const Path& plan_path = prepared->relaxed_path();
+  auto plan_expect = EvalNodeSetBaseline(plan_path, doc);
+  ASSERT_TRUE(plan_expect.ok()) << plan_expect.status();
+
+  auto asta = CompileToAsta(plan_path, doc.alphabet_ptr().get());
   ASSERT_TRUE(asta.ok()) << asta.status();
+  EXPECT_EQ(doc.alphabet().size(), labels) << "CompileToAsta wrote it";
   TreeIndex index(doc);
   const AstaEvalOptions configs[] = {
       {false, false, false}, {true, false, false}, {false, true, false},
@@ -97,57 +111,60 @@ void CheckAllEngines(const Document& doc, const std::string& query) {
   TreeIndex succinct_index(tree);
   for (const AstaEvalOptions& opts : configs) {
     AstaEvalResult r = EvalAsta(*asta, doc, &index, opts);
-    ASSERT_EQ(r.nodes, *expect)
+    ASSERT_EQ(r.nodes, *plan_expect)
         << "asta jump=" << opts.jumping << " memo=" << opts.memoize
         << " infoprop=" << opts.info_propagation;
     // Every configuration — including the jumping ones — must agree on the
     // succinct backend through the succinct-backed TreeIndex.
     AstaEvalResult s = EvalAstaSuccinct(
         *asta, tree, opts.jumping ? &succinct_index : nullptr, opts);
-    ASSERT_EQ(s.nodes, *expect)
+    ASSERT_EQ(s.nodes, *plan_expect)
         << "succinct jump=" << opts.jumping << " memo=" << opts.memoize
         << " infoprop=" << opts.info_propagation;
   }
 
-  if (IsHybridEvaluable(*path)) {
-    auto plan = HybridPlan::Make(*path, doc.alphabet_ptr().get());
+  if (IsHybridEvaluable(plan_path)) {
+    auto plan = HybridPlan::Make(plan_path, doc.alphabet_ptr().get());
     ASSERT_TRUE(plan.ok());
+    EXPECT_EQ(doc.alphabet().size(), labels) << "HybridPlan::Make wrote it";
     auto hybrid = plan->Run(doc, index);
     ASSERT_TRUE(hybrid.ok());
-    ASSERT_EQ(*hybrid, *expect) << "hybrid";
+    ASSERT_EQ(*hybrid, *plan_expect) << "hybrid";
     auto succinct_hybrid = plan->Run(tree, succinct_index);
     ASSERT_TRUE(succinct_hybrid.ok());
-    ASSERT_EQ(*succinct_hybrid, *expect) << "succinct hybrid";
+    ASSERT_EQ(*succinct_hybrid, *plan_expect) << "succinct hybrid";
   }
 
-  if (IsTdstaCompilable(*path)) {
-    auto sta = CompileToTdsta(*path, doc.alphabet_ptr().get());
+  if (IsTdstaCompilable(plan_path)) {
+    auto sta = CompileToTdsta(plan_path, doc.alphabet_ptr().get());
     ASSERT_TRUE(sta.ok());
+    EXPECT_EQ(doc.alphabet().size(), labels) << "CompileToTdsta wrote it";
     StaRunResult full = TopDownRun(*sta, doc);
-    ASSERT_EQ(full.selected, *expect) << "tdsta full run";
+    ASSERT_EQ(full.selected, *plan_expect) << "tdsta full run";
     Sta minimal = MinimizeTopDown(*sta);
     JumpRunResult jump = TopDownJumpRun(minimal, doc, index);
-    ASSERT_EQ(jump.selected, *expect) << "tdsta jumping run";
+    ASSERT_EQ(jump.selected, *plan_expect) << "tdsta jumping run";
     JumpRunResult sjump = TopDownJumpRun(minimal, tree, succinct_index);
-    ASSERT_EQ(sjump.selected, *expect) << "tdsta succinct jumping run";
+    ASSERT_EQ(sjump.selected, *plan_expect) << "tdsta succinct jumping run";
     if (jump.accepting) {
       // LIMIT-k truncation: the early-stopped run must agree with the full
       // run's document-order prefix (meaningful on accepting runs only).
       JumpRunOptions limit;
       limit.max_selected = 2;
       JumpRunResult head = TopDownJumpRun(minimal, doc, index, limit);
-      ASSERT_EQ(head.selected.size(), std::min<size_t>(2, expect->size()));
+      ASSERT_EQ(head.selected.size(),
+                std::min<size_t>(2, plan_expect->size()));
       ASSERT_TRUE(std::equal(head.selected.begin(), head.selected.end(),
-                             expect->begin()))
+                             plan_expect->begin()))
           << "tdsta truncated jumping run";
     }
   }
 
   // The serving surface: cursors over every strategy, on both backends.
-  auto prepared = PreparedQuery::Prepare(query, doc.alphabet_ptr());
-  ASSERT_TRUE(prepared.ok()) << prepared.status();
   internal::CursorContext pointer_ctx{&doc, nullptr, &index};
-  internal::CursorContext succinct_ctx{nullptr, &tree, &succinct_index};
+  const TextStore text = TextStore::FromDocument(doc);
+  internal::CursorContext succinct_ctx{nullptr, &tree, &succinct_index,
+                                       &text};
   CheckCursors(pointer_ctx, *prepared, *expect, "pointer");
   CheckCursors(succinct_ctx, *prepared, *expect, "succinct");
 }
@@ -217,6 +234,19 @@ TEST(CrossEngineShapeTest, WideFanoutDocument) {
   for (const char* q :
        {"//a/b", "//a[b]", "/r/a", "//c/following-sibling::a"}) {
     CheckAllEngines(doc, q);
+  }
+}
+
+TEST(CrossEngineShapeTest, QueriesNamingAbsentLabels) {
+  // 'z' labels no node: its name test matches nothing, under not(), or,
+  // inside chains, as an attribute and under a value comparison alike.
+  auto doc = ParseXmlString(
+      "<r><a><b>v</b></a><a><c/><b/></a><a id='1'><b/><c>v</c></a>"
+      "<b><a/></b></r>");
+  ASSERT_TRUE(doc.ok()) << doc.status();
+  for (const char* q : {"//z", "//a[not(z)]", "//a[z or b]", "//a//z//b",
+                        "/r/z", "//a/*[z]", "//a[@z]", "//a[z/text()='v']"}) {
+    CheckAllEngines(*doc, q);
   }
 }
 

@@ -8,8 +8,10 @@
 #include "net/server.h"
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cctype>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
@@ -20,6 +22,8 @@
 
 #include "core/collection.h"
 #include "net/client.h"
+#include "persist/fs_util.h"
+#include "persist/index_image.h"
 #include "serve/serving_runtime.h"
 
 namespace xpwqo {
@@ -439,6 +443,71 @@ TEST(NetServerTest, KeepAliveServesManyRequestsOnOneConnection) {
   }
   EXPECT_EQ(ts.server->NetStats().connections_accepted, 1);
   EXPECT_EQ(ts.server->NetStats().responses_ok, 10);
+}
+
+/// The query-string encoding of `text`: every byte but [A-Za-z0-9] as %XX.
+std::string UrlEncode(const std::string& text) {
+  static const char kHex[] = "0123456789ABCDEF";
+  std::string out;
+  for (unsigned char c : text) {
+    if (std::isalnum(c)) {
+      out += static_cast<char>(c);
+    } else {
+      out += '%';
+      out += kHex[c >> 4];
+      out += kHex[c & 15];
+    }
+  }
+  return out;
+}
+
+/// The `label ` lines of a freshly saved MANIFEST of `collection`.
+std::vector<std::string> ManifestLabels(const Collection& collection,
+                                        const std::string& dir) {
+  EXPECT_TRUE(SaveCollection(collection, dir).ok());
+  auto manifest = persist::ReadFileToString(dir + "/MANIFEST");
+  EXPECT_TRUE(manifest.ok());
+  std::vector<std::string> labels;
+  size_t begin = 0;
+  while (manifest.ok() && begin < manifest->size()) {
+    size_t end = manifest->find('\n', begin);
+    if (end == std::string::npos) end = manifest->size();
+    std::string line = manifest->substr(begin, end - begin);
+    if (line.rfind("label ", 0) == 0) labels.push_back(std::move(line));
+    begin = end + 1;
+  }
+  return labels;
+}
+
+TEST(NetServerTest, UnseenLabelFloodLeavesSharedStateAlone) {
+  // Any client can send query strings naming labels no document carries.
+  // Compiling them must not grow the shared alphabet (nor, through it, the
+  // saved MANIFEST), and the compiled plans stay bounded by the cache.
+  TestServer ts;
+  AddLibrary(&ts.collection);
+  ts.Start();
+  const std::string dir = ::testing::TempDir() + "xpwqo_net_flood_" +
+                          std::to_string(::getpid());
+  const std::vector<std::string> labels_before =
+      ManifestLabels(ts.collection, dir + "_before");
+  const int alphabet_before = ts.collection.alphabet_ptr()->size();
+
+  BlockingHttpClient client = Connected(ts);
+  for (int i = 0; i < 2000; ++i) {
+    const std::string n = std::to_string(i);
+    const std::string shapes[] = {
+        "//n" + n,
+        "//book[x" + n + "]",
+        "//shelf/@y" + n,
+        "//book[not(z" + n + ") and keyword]",
+    };
+    auto resp = client.Get("/query?q=" + UrlEncode(shapes[i % 4]));
+    ASSERT_TRUE(resp.ok()) << i;
+    ASSERT_EQ(resp->status, 200) << shapes[i % 4];
+  }
+  EXPECT_EQ(ts.collection.alphabet_ptr()->size(), alphabet_before);
+  EXPECT_LE(ts.collection.query_cache()->size(), QueryCache::kDefaultCapacity);
+  EXPECT_EQ(ManifestLabels(ts.collection, dir + "_after"), labels_before);
 }
 
 TEST(NetServerTest, Http10GetsContentLengthFraming) {

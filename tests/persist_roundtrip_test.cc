@@ -259,6 +259,72 @@ TEST(PersistRoundtripTest, CollectionReopensLazily) {
   EXPECT_EQ(reopened->Find("a"), nullptr);
 }
 
+// A saved image registered lazily with no MANIFEST, as xpathd serves a
+// single image: its label ids must land verbatim in the collection's empty
+// alphabet on first touch, whatever queries were compiled before.
+constexpr const char* kLazyXml =
+    "<r><book><t>x</t></book><book><t>y</t><u/></book></r>";
+
+Collection LazyImageCollection(const std::string& dir) {
+  Collection collection;
+  EXPECT_TRUE(collection
+                  .AddLazy("doc",
+                           [dir](std::shared_ptr<Alphabet> alphabet) {
+                             return OpenIndexImage(dir, std::move(alphabet));
+                           })
+                  .ok());
+  return collection;
+}
+
+std::string SaveLazyImage(const char* tag) {
+  auto built = Engine::FromXmlString(kLazyXml, TreeBackend::kSuccinct);
+  EXPECT_TRUE(built.ok());
+  const std::string dir = FreshDir(tag);
+  EXPECT_TRUE(SaveIndexImage(*built, dir).ok());
+  return dir;
+}
+
+TEST(PersistRoundtripTest, LazyImageOpensUnderItsFirstStringQuery) {
+  Collection collection = LazyImageCollection(SaveLazyImage("lazy_first"));
+  for (int attempt = 0; attempt < 2; ++attempt) {
+    auto cursor = collection.OpenCursor("doc", "//book/t");
+    ASSERT_TRUE(cursor.ok()) << cursor.status();
+    std::vector<NodeId> nodes = cursor->Drain();
+    ASSERT_EQ(nodes.size(), 2u);
+    const Engine* engine = collection.Find("doc");
+    ASSERT_NE(engine, nullptr);
+    for (NodeId n : nodes) EXPECT_EQ(engine->PathTo(n), "/r/book/t");
+  }
+}
+
+TEST(PersistRoundtripTest, LazyImageOpensAfterQueriesNamingUnseenLabels) {
+  Collection collection = LazyImageCollection(SaveLazyImage("lazy_unseen"));
+  auto unseen = collection.Prepare("//zzz");
+  ASSERT_TRUE(unseen.ok());
+  auto held = collection.Prepare("//book/t");
+  ASSERT_TRUE(held.ok());
+  EXPECT_EQ(collection.alphabet_ptr()->size(), 0);
+
+  auto engine = collection.Get("doc");
+  ASSERT_TRUE(engine.ok()) << engine.status();
+  EXPECT_EQ(collection.alphabet_ptr()->Find("zzz"), kNoLabel);
+  auto none = collection.RunAll(*unseen);
+  ASSERT_TRUE(none.ok()) << none.status();
+  EXPECT_TRUE((*none)[0].result.nodes.empty());
+
+  // The plan held from before the load rebinds: one recompile, which the
+  // string path for the same canonical query then shares.
+  EXPECT_TRUE(held->stale());
+  const int64_t misses = collection.query_cache()->misses();
+  auto rebound = collection.OpenCursor("doc", *held);
+  ASSERT_TRUE(rebound.ok()) << rebound.status();
+  EXPECT_EQ(rebound->Drain().size(), 2u);
+  auto by_string = collection.OpenCursor("doc", held->ToString());
+  ASSERT_TRUE(by_string.ok()) << by_string.status();
+  EXPECT_EQ(by_string->Drain().size(), 2u);
+  EXPECT_EQ(collection.query_cache()->misses(), misses + 1);
+}
+
 TEST(PersistRoundtripTest, SaveThenResaveProducesIdenticalFiles) {
   auto built = Engine::FromXmlString("<r><s/><t><u/></t></r>",
                                      TreeBackend::kSuccinct);
