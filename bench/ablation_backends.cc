@@ -34,44 +34,14 @@ Asta CompileQuery(const char* xpath) {
   return std::move(asta).value();
 }
 
-void BM_PointerBackend(benchmark::State& state, const char* xpath) {
-  const Engine& engine = bench::XMarkEngine();
+/// Evaluates `xpath` over the backend behind `index`. The index is built
+/// before the timed loop, also for the no-jumping rows, which never consult
+/// its jump functions.
+void BM_Eval(benchmark::State& state, const TreeIndex& index,
+             const char* xpath, const AstaEvalOptions& options) {
   Asta asta = CompileQuery(xpath);
-  AstaEvalOptions options{false, true, true};  // memoized, no jumping
   for (auto _ : state) {
-    AstaEvalResult r = EvalAsta(asta, engine.document(), nullptr, options);
-    benchmark::DoNotOptimize(r.nodes.data());
-  }
-}
-
-void BM_SuccinctBackend(benchmark::State& state, const char* xpath) {
-  const SuccinctTree& tree = SharedSuccinctTree();
-  Asta asta = CompileQuery(xpath);
-  AstaEvalOptions options{false, true, true};
-  for (auto _ : state) {
-    AstaEvalResult r = EvalAstaSuccinct(asta, tree, nullptr, options);
-    benchmark::DoNotOptimize(r.nodes.data());
-  }
-}
-
-void BM_PointerBackendOpt(benchmark::State& state, const char* xpath) {
-  const Engine& engine = bench::XMarkEngine();
-  Asta asta = CompileQuery(xpath);
-  AstaEvalOptions options{true, true, true};  // jumping + memo + infoprop
-  for (auto _ : state) {
-    AstaEvalResult r =
-        EvalAsta(asta, engine.document(), &engine.index(), options);
-    benchmark::DoNotOptimize(r.nodes.data());
-  }
-}
-
-void BM_SuccinctBackendOpt(benchmark::State& state, const char* xpath) {
-  const SuccinctTree& tree = SharedSuccinctTree();
-  const TreeIndex& index = SharedSuccinctIndex();
-  Asta asta = CompileQuery(xpath);
-  AstaEvalOptions options{true, true, true};
-  for (auto _ : state) {
-    AstaEvalResult r = EvalAstaSuccinct(asta, tree, &index, options);
+    AstaEvalResult r = EvalAsta(asta, index, options);
     benchmark::DoNotOptimize(r.nodes.data());
   }
 }
@@ -106,23 +76,33 @@ void RegisterAll() {
   benchmark::RegisterBenchmark("Navigation/succinct", BM_SuccinctNavigation)
       ->Unit(benchmark::kMillisecond);
   for (const char* q : {"//listitem//keyword", "/site//keyword"}) {
+    const AstaEvalOptions memo{false, true, true};  // memoized, no jumping
+    const AstaEvalOptions opt{true, true, true};  // jumping + memo + infoprop
     benchmark::RegisterBenchmark(
         (std::string("MemoEval/pointer/") + q).c_str(),
-        [q](benchmark::State& s) { BM_PointerBackend(s, q); })
+        [q, memo](benchmark::State& s) {
+          BM_Eval(s, bench::XMarkEngine().index(), q, memo);
+        })
         ->Unit(benchmark::kMillisecond);
     benchmark::RegisterBenchmark(
         (std::string("MemoEval/succinct/") + q).c_str(),
-        [q](benchmark::State& s) { BM_SuccinctBackend(s, q); })
+        [q, memo](benchmark::State& s) {
+          BM_Eval(s, SharedSuccinctIndex(), q, memo);
+        })
         ->Unit(benchmark::kMillisecond);
     // Jumping on both backends: the succinct TreeIndex makes the opt
     // configuration comparable, not just the stepping one.
     benchmark::RegisterBenchmark(
         (std::string("OptEval/pointer/") + q).c_str(),
-        [q](benchmark::State& s) { BM_PointerBackendOpt(s, q); })
+        [q, opt](benchmark::State& s) {
+          BM_Eval(s, bench::XMarkEngine().index(), q, opt);
+        })
         ->Unit(benchmark::kMillisecond);
     benchmark::RegisterBenchmark(
         (std::string("OptEval/succinct/") + q).c_str(),
-        [q](benchmark::State& s) { BM_SuccinctBackendOpt(s, q); })
+        [q, opt](benchmark::State& s) {
+          BM_Eval(s, SharedSuccinctIndex(), q, opt);
+        })
         ->Unit(benchmark::kMillisecond);
   }
 }

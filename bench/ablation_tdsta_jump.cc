@@ -48,7 +48,7 @@ int Main() {
         bench::BestOfMs([&] { full = TopDownRun(minimal, doc); });
     JumpRunResult jump;
     double jump_ms =
-        bench::BestOfMs([&] { jump = TopDownJumpRun(minimal, doc, index); });
+        bench::BestOfMs([&] { jump = TopDownJumpRun(minimal, index); });
     if (jump.selected != full.selected) {
       std::printf("MISMATCH on %s\n", q);
       return 1;

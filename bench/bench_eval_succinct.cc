@@ -126,16 +126,15 @@ int Run(bool quick, const std::string& out_path) {
     row.id = wq.id;
     row.xpath = wq.xpath;
 
+    // Both succinct rows reuse the one prebuilt index; the no-jump row
+    // simply never consults its jump functions.
     AstaEvalResult nojump, jump, pointer;
     row.succinct_nojump_ms = bench::BestOfMs(
-        [&] { nojump = EvalAstaSuccinct(*asta, tree, nullptr, kNoJump); },
-        repeats);
+        [&] { nojump = EvalAsta(*asta, succinct_index, kNoJump); }, repeats);
     row.succinct_jump_ms = bench::BestOfMs(
-        [&] { jump = EvalAstaSuccinct(*asta, tree, &succinct_index, kJump); },
-        repeats);
+        [&] { jump = EvalAsta(*asta, succinct_index, kJump); }, repeats);
     row.pointer_jump_ms = bench::BestOfMs(
-        [&] { pointer = EvalAsta(*asta, doc, &pointer_index, kJump); },
-        repeats);
+        [&] { pointer = EvalAsta(*asta, pointer_index, kJump); }, repeats);
     row.selected = jump.nodes.size();
     row.match = jump.nodes == nojump.nodes && jump.nodes == pointer.nodes;
     all_match = all_match && row.match;
@@ -173,15 +172,12 @@ int Run(bool quick, const std::string& out_path) {
 
     AstaEvalResult full;
     row.full_ms = bench::BestOfMs(
-        [&] {
-          full = EvalAstaSuccinct(prepared->asta(), tree, &succinct_index,
-                                  kJump);
-        },
+        [&] { full = EvalAsta(prepared->asta(), succinct_index, kJump); },
         repeats);
     row.full_visited = full.stats.nodes_visited;
     row.selected = full.nodes.size();
 
-    const internal::CursorContext ctx{nullptr, &tree, &succinct_index};
+    const internal::CursorContext ctx{&succinct_index};
     const QueryOptions opts;  // optimized
     for (size_t i = 0; i < 3; ++i) {
       const size_t k = kLimits[i];
@@ -246,7 +242,7 @@ int Run(bool quick, const std::string& out_path) {
     row.id = pq.id;
     row.xpath = pq.xpath;
 
-    internal::CursorContext ctx{nullptr, &tree, &succinct_index, &text};
+    internal::CursorContext ctx{&succinct_index, &text};
     const QueryOptions opts;  // optimized
     std::vector<NodeId> got;
     row.full_ms = bench::BestOfMs(

@@ -30,6 +30,17 @@ if grep -rnE '(->|\.)Intern\(' src/xpath src/core src/serve src/net; then
   exit 1
 fi
 
+# The TreeIndex is the tree: every evaluator takes one `const TreeIndex&`
+# and the index picks the backend (VisitTreeView in index/tree_index.h), so
+# no file under src/core, src/serve, src/net or src/xpath may name a
+# backend view or a backend-specific evaluator entry point.
+if grep -rnE 'PointerTreeView|SuccinctTreeView|EvalAstaSuccinct' \
+    src/core src/serve src/net src/xpath; then
+  echo "check.sh: src/core, src/serve, src/net and src/xpath must reach" \
+    "the tree through TreeIndex, not a backend view" >&2
+  exit 1
+fi
+
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j"$(nproc)"
 (cd build && ctest --output-on-failure -j"$(nproc)")

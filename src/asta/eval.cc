@@ -60,8 +60,8 @@ MemoKey EvalKey(SetId s, LabelId label, SetId d1, SetId d2) {
 template <typename TreeView>
 class AstaEvaluator {
  public:
-  AstaEvaluator(const Asta& asta, const TreeView& tree,
-                const TreeIndex* index, const AstaEvalOptions& options)
+  AstaEvaluator(const Asta& asta, TreeView tree, const TreeIndex& index,
+                const AstaEvalOptions& options)
       : asta_(asta),
         tree_(tree),
         index_(index),
@@ -70,7 +70,6 @@ class AstaEvaluator {
         num_states_(asta.num_states()),
         monitor_(options.control) {
     XPWQO_CHECK(asta.finalized());
-    if (options_.jumping) XPWQO_CHECK(index_ != nullptr);
   }
 
   AstaEvalResult Run() { return RunAt(tree_.root()); }
@@ -340,7 +339,7 @@ class AstaEvaluator {
             // succinct backend that is an excess search, worth hoisting);
             // d_t is the cursor's first probe, f_t the subsequent ones.
             const NodeId scope_end = tree_.BinaryEnd(c);
-            LabelIndex::SetCursor cursor(index_->labels(), jump.essential);
+            LabelIndex::SetCursor cursor(index_.labels(), jump.essential);
             NodeId m = cursor.First(c + 1, scope_end);
             if (m == kNullNode) break;
             Frame f;
@@ -355,13 +354,13 @@ class AstaEvaluator {
             return true;
           }
           case LoopKind::kLeft: {
-            NodeId m = index_->LeftPathFirst(c, jump.essential);
+            NodeId m = index_.LeftPathFirst(c, jump.essential);
             if (m == kNullNode) break;
             PushNode(m, s);
             return true;
           }
           case LoopKind::kRight: {
-            NodeId m = index_->RightPathFirst(c, jump.essential);
+            NodeId m = index_.RightPathFirst(c, jump.essential);
             if (m == kNullNode) break;
             PushNode(m, s);
             return true;
@@ -473,8 +472,8 @@ class AstaEvaluator {
   }
 
   const Asta& asta_;
-  const TreeView& tree_;
-  const TreeIndex* index_;
+  const TreeView tree_;
+  const TreeIndex& index_;
   AstaEvalOptions options_;
   TdaAnalysis tda_;
   int num_states_;
@@ -513,9 +512,9 @@ namespace {
 template <typename TreeView>
 class RegionStreamImpl final : public AstaRegionStream::Impl {
  public:
-  RegionStreamImpl(const Asta& asta, TreeView view, const TreeIndex* index,
+  RegionStreamImpl(const Asta& asta, TreeView view, const TreeIndex& index,
                    const AstaEvalOptions& options)
-      : view_(view), eval_(asta, view_, index, options) {
+      : view_(view), eval_(asta, view, index, options) {
     const NodeId root = view_.root();
     if (root == kNullNode) {
       done_ = true;
@@ -524,13 +523,13 @@ class RegionStreamImpl final : public AstaRegionStream::Impl {
     // Mirror the evaluator's top-level Enter: when the top determinized set
     // jumps on both children and the root label is non-essential, the
     // topmost essential nodes partition the result-bearing subtrees.
-    if (options.jumping && index != nullptr) {
+    if (options.jumping) {
       const JumpInfo jump = eval_.tda().JumpFor(asta.TopMask());
       if (jump.kind == LoopKind::kBoth &&
           !jump.essential.Contains(view_.label(root))) {
         streaming_ = true;
         scope_end_ = view_.BinaryEnd(root);
-        cursor_ = LabelIndex::SetCursor(index->labels(), jump.essential);
+        cursor_ = LabelIndex::SetCursor(index.labels(), jump.essential);
         next_lo_ = root + 1;
         return;
       }
@@ -607,17 +606,12 @@ class RegionStreamImpl final : public AstaRegionStream::Impl {
 
 }  // namespace
 
-AstaRegionStream::AstaRegionStream(const Asta& asta, const Document& doc,
-                                   const TreeIndex* index,
+AstaRegionStream::AstaRegionStream(const Asta& asta, const TreeIndex& index,
                                    const AstaEvalOptions& options)
-    : impl_(std::make_unique<RegionStreamImpl<PointerTreeView>>(
-          asta, PointerTreeView{&doc}, index, options)) {}
-
-AstaRegionStream::AstaRegionStream(const Asta& asta, const SuccinctTree& tree,
-                                   const TreeIndex* index,
-                                   const AstaEvalOptions& options)
-    : impl_(std::make_unique<RegionStreamImpl<SuccinctTreeView>>(
-          asta, SuccinctTreeView{&tree}, index, options)) {}
+    : impl_(VisitTreeView(index, [&](auto view) -> std::unique_ptr<Impl> {
+        return std::make_unique<RegionStreamImpl<decltype(view)>>(
+            asta, view, index, options);
+      })) {}
 
 AstaRegionStream::AstaRegionStream(AstaRegionStream&&) noexcept = default;
 AstaRegionStream& AstaRegionStream::operator=(AstaRegionStream&&) noexcept =
@@ -632,34 +626,19 @@ void AstaRegionStream::SkipTo(NodeId target) { impl_->SkipTo(target); }
 const AstaEvalStats& AstaRegionStream::stats() const { return impl_->stats(); }
 StatusCode AstaRegionStream::interrupt() const { return impl_->interrupt(); }
 
-AstaEvalResult EvalAsta(const Asta& asta, const Document& doc,
-                        const TreeIndex* index,
+AstaEvalResult EvalAsta(const Asta& asta, const TreeIndex& index,
                         const AstaEvalOptions& options) {
-  PointerTreeView view{&doc};
-  return AstaEvaluator<PointerTreeView>(asta, view, index, options).Run();
+  return VisitTreeView(index, [&](auto view) {
+    return AstaEvaluator<decltype(view)>(asta, view, index, options).Run();
+  });
 }
 
-AstaEvalResult EvalAstaAt(const Asta& asta, const Document& doc,
-                          const TreeIndex* index, NodeId start,
-                          const AstaEvalOptions& options) {
-  PointerTreeView view{&doc};
-  return AstaEvaluator<PointerTreeView>(asta, view, index, options)
-      .RunAt(start);
-}
-
-AstaEvalResult EvalAstaSuccinct(const Asta& asta, const SuccinctTree& tree,
-                                const TreeIndex* index,
-                                const AstaEvalOptions& options) {
-  SuccinctTreeView view{&tree};
-  return AstaEvaluator<SuccinctTreeView>(asta, view, index, options).Run();
-}
-
-AstaEvalResult EvalAstaSuccinctAt(const Asta& asta, const SuccinctTree& tree,
-                                  const TreeIndex* index, NodeId start,
-                                  const AstaEvalOptions& options) {
-  SuccinctTreeView view{&tree};
-  return AstaEvaluator<SuccinctTreeView>(asta, view, index, options)
-      .RunAt(start);
+AstaEvalResult EvalAstaAt(const Asta& asta, const TreeIndex& index,
+                          NodeId start, const AstaEvalOptions& options) {
+  return VisitTreeView(index, [&](auto view) {
+    return AstaEvaluator<decltype(view)>(asta, view, index, options)
+        .RunAt(start);
+  });
 }
 
 }  // namespace xpwqo

@@ -12,6 +12,11 @@
 // the bottom-up result must report. It runs on an explicit stack — sibling
 // chains become right-spine recursion under the fcns encoding, so the call
 // stack would otherwise be O(max fan-out).
+//
+// The document is the TreeIndex: callers pass the index and the index picks
+// the backend (pointer Document or SuccinctTree); the evaluator runs
+// templated on that backend's static view. The index is always required —
+// AstaEvalOptions::jumping alone decides whether its jump functions are used.
 #ifndef XPWQO_ASTA_EVAL_H_
 #define XPWQO_ASTA_EVAL_H_
 
@@ -73,34 +78,17 @@ struct AstaEvalResult {
   StatusCode interrupt = StatusCode::kOk;
 };
 
-/// Evaluates `asta` (finalized) over the document. `index` may be null when
-/// options.jumping is false. This is the pointer-backend entry point.
-AstaEvalResult EvalAsta(const Asta& asta, const Document& doc,
-                        const TreeIndex* index,
+/// Evaluates `asta` (finalized) over the document behind `index`.
+AstaEvalResult EvalAsta(const Asta& asta, const TreeIndex& index,
                         const AstaEvalOptions& options = {});
 
 /// Evaluates over the *binary* subtree rooted at `start` (i.e. the preorder
 /// range [start, BinaryEnd(start))) with the automaton's top state-set. The
 /// hybrid strategy uses this to run a suffix query below a pivot node:
-/// passing doc.BinaryLeft(pivot) evaluates over the pivot's strict XML
+/// passing the pivot's first child evaluates over its strict XML
 /// descendants.
-AstaEvalResult EvalAstaAt(const Asta& asta, const Document& doc,
-                          const TreeIndex* index, NodeId start,
-                          const AstaEvalOptions& options = {});
-
-/// Evaluation over the succinct topology backend. `index` may be null when
-/// options.jumping is false; with a (succinct-backed) TreeIndex all four
-/// Figure-4 configurations run on the succinct representation — the paper's
-/// speed/space point in one configuration.
-AstaEvalResult EvalAstaSuccinct(const Asta& asta, const SuccinctTree& tree,
-                                const TreeIndex* index,
-                                const AstaEvalOptions& options = {});
-
-/// Succinct-backend counterpart of EvalAstaAt: evaluates over the binary
-/// subtree rooted at `start`.
-AstaEvalResult EvalAstaSuccinctAt(const Asta& asta, const SuccinctTree& tree,
-                                  const TreeIndex* index, NodeId start,
-                                  const AstaEvalOptions& options = {});
+AstaEvalResult EvalAstaAt(const Asta& asta, const TreeIndex& index,
+                          NodeId start, const AstaEvalOptions& options = {});
 
 /// Incremental, document-order evaluation: when the automaton's top
 /// determinized set jumps (LoopKind::kBoth with a finite essential set and a
@@ -117,15 +105,15 @@ AstaEvalResult EvalAstaSuccinctAt(const Asta& asta, const SuccinctTree& tree,
 /// an automaton where every created mark survives to an accepted top state.
 /// That holds for predicate-free XPath compilations (selection queries never
 /// reject a tree and their formulas are positive) — the condition
-/// PreparedQuery::streamable() checks. For other automata, or when the top
-/// set cannot jump, the stream degenerates to a single region that is the
-/// plain full run (streaming() returns false), which is always correct.
+/// PreparedQuery::streamable() checks. For other automata, when the top set
+/// cannot jump, or with options.jumping off, the stream degenerates to a
+/// single region that is the plain full run (streaming() returns false),
+/// which is always correct.
 class AstaRegionStream {
  public:
-  AstaRegionStream(const Asta& asta, const Document& doc,
-                   const TreeIndex* index, const AstaEvalOptions& options = {});
-  AstaRegionStream(const Asta& asta, const SuccinctTree& tree,
-                   const TreeIndex* index, const AstaEvalOptions& options = {});
+  /// `asta` and `index` must outlive the stream.
+  AstaRegionStream(const Asta& asta, const TreeIndex& index,
+                   const AstaEvalOptions& options = {});
   AstaRegionStream(AstaRegionStream&&) noexcept;
   AstaRegionStream& operator=(AstaRegionStream&&) noexcept;
   ~AstaRegionStream();

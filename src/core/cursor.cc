@@ -141,41 +141,28 @@ AstaEvalOptions EvalOptionsFor(const QueryOptions& options) {
 StatusOr<std::unique_ptr<CursorImpl>> MakeRelaxedImpl(
     const CursorContext& ctx, const PreparedQuery& query,
     const QueryOptions& options, bool allow_streaming) {
+  const TreeIndex& index = *ctx.index;
   if (options.strategy == EvalStrategy::kHybrid && query.hybrid() != nullptr) {
     const HybridPlan& plan = *query.hybrid();
     if (allow_streaming) {
-      HybridStream stream =
-          ctx.tree != nullptr
-              ? HybridStream(plan, *ctx.tree, *ctx.index, options.control)
-              : HybridStream(plan, *ctx.doc, *ctx.index, options.control);
-      return std::unique_ptr<CursorImpl>(new HybridImpl(std::move(stream)));
+      return std::unique_ptr<CursorImpl>(
+          new HybridImpl(HybridStream(plan, index, options.control)));
     }
     CursorStats stats;
     stats.used_hybrid = true;
-    StatusOr<std::vector<NodeId>> nodes =
-        ctx.tree != nullptr
-            ? plan.Run(*ctx.tree, *ctx.index, &stats.hybrid, options.control)
-            : plan.Run(*ctx.doc, *ctx.index, &stats.hybrid, options.control);
-    XPWQO_RETURN_IF_ERROR(nodes.status());
+    XPWQO_ASSIGN_OR_RETURN(std::vector<NodeId> nodes,
+                           plan.Run(index, &stats.hybrid, options.control));
     return std::unique_ptr<CursorImpl>(
-        new EagerImpl(std::move(nodes).value(), std::move(stats)));
+        new EagerImpl(std::move(nodes), std::move(stats)));
   }
 
   // Automaton strategies (and the hybrid fallback when no plan applies).
   const AstaEvalOptions eval = EvalOptionsFor(options);
-  const TreeIndex* index = eval.jumping ? ctx.index : nullptr;
-  if (allow_streaming && query.streamable() && eval.jumping &&
-      index != nullptr) {
-    AstaRegionStream stream =
-        ctx.tree != nullptr
-            ? AstaRegionStream(query.asta(), *ctx.tree, index, eval)
-            : AstaRegionStream(query.asta(), *ctx.doc, index, eval);
-    return std::unique_ptr<CursorImpl>(new RegionImpl(std::move(stream)));
+  if (allow_streaming && query.streamable() && eval.jumping) {
+    return std::unique_ptr<CursorImpl>(
+        new RegionImpl(AstaRegionStream(query.asta(), index, eval)));
   }
-  AstaEvalResult r = ctx.tree != nullptr
-                         ? EvalAstaSuccinct(query.asta(), *ctx.tree, index,
-                                            eval)
-                         : EvalAsta(query.asta(), *ctx.doc, index, eval);
+  AstaEvalResult r = EvalAsta(query.asta(), index, eval);
   if (r.interrupt != StatusCode::kOk) return InterruptToStatus(r.interrupt);
   CursorStats stats;
   stats.eval = r.stats;

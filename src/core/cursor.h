@@ -13,6 +13,10 @@
 //     ...
 //   }
 //
+// Every plan reaches the document through the engine's TreeIndex, which
+// picks the backend; the pointer Document is read only by the baseline
+// strategy and, when present, as the value filter's value source.
+//
 // A cursor borrows the engine's document/index and (unless it was opened
 // from a query string, which retains the cached compilation) the
 // PreparedQuery — both must outlive it. Cursors are single-owner and
@@ -32,7 +36,6 @@
 namespace xpwqo {
 
 class Document;
-class SuccinctTree;
 class TextStore;
 class TreeIndex;
 
@@ -60,13 +63,16 @@ class CursorImpl {
 
 /// The engine internals a cursor evaluates against (non-owning).
 struct CursorContext {
-  const Document* doc = nullptr;        // null on streamed-succinct engines
-  const SuccinctTree* tree = nullptr;   // null on the pointer backend
+  /// The document as every plan sees it (required); the index picks the
+  /// backend.
   const TreeIndex* index = nullptr;
   /// Content layer for value predicates on document-less engines (streamed
   /// or image-backed); null on v1 images, where such queries fail with
   /// kFailedPrecondition.
   const TextStore* text = nullptr;
+  /// Baseline oracle input and pointer value source only; null on
+  /// streamed and image-backed engines.
+  const Document* doc = nullptr;
 };
 
 /// Builds the producer for (query, options) over `ctx`. With

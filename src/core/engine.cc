@@ -154,15 +154,14 @@ Engine Engine::FromImageParts(std::shared_ptr<Alphabet> alphabet,
 }
 
 std::string Engine::PathTo(NodeId n) const {
-  if (doc_ != nullptr) return doc_->PathTo(n);
   std::vector<NodeId> chain;
-  for (NodeId cur = n; cur != kNullNode; cur = succinct_->parent(cur)) {
+  for (NodeId cur = n; cur != kNullNode; cur = index_->Parent(cur)) {
     chain.push_back(cur);
   }
   std::string out;
   for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
     out += "/";
-    out += alphabet_->Name(succinct_->label(*it));
+    out += alphabet_->Name(index_->Label(*it));
   }
   return out.empty() ? "/" : out;
 }
@@ -226,10 +225,9 @@ StatusOr<PreparedQuery> Engine::Compile(std::string_view xpath) const {
 
 internal::CursorContext Engine::Context() const {
   internal::CursorContext ctx;
-  ctx.doc = doc_.get();
-  ctx.tree = succinct_.get();
   ctx.index = index_.get();
   ctx.text = text_.get();
+  ctx.doc = doc_.get();
   return ctx;
 }
 

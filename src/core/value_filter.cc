@@ -5,8 +5,8 @@
 #include <utility>
 #include <vector>
 
-#include "index/succinct_tree.h"
 #include "index/text_store.h"
+#include "index/tree_index.h"
 #include "tree/document.h"
 
 namespace xpwqo {
@@ -24,14 +24,16 @@ enum class NodeClass : uint8_t { kElement, kAttribute, kText };
 /// never-interned name tests); the two must agree for the parity suite to
 /// hold. Work is proportional to the candidate's ancestry and the
 /// predicates' subtree scans, every node of it charged to the monitor, so
-/// a deadline or budget stops verification mid-candidate.
+/// a deadline or budget stops verification mid-candidate. Navigation goes
+/// through the TreeIndex (whichever backend it wraps); only value reads
+/// choose between the pointer Document and the TextStore.
 class PathVerifier {
  public:
   PathVerifier(const Path& path, const CursorContext& ctx,
                const Alphabet& alphabet, ExecMonitor* monitor)
       : path_(path),
+        index_(*ctx.index),
         doc_(ctx.doc),
-        tree_(ctx.tree),
         text_(ctx.text),
         monitor_(monitor) {
     const int num_labels = alphabet.size();
@@ -69,29 +71,13 @@ class PathVerifier {
     ResolveNames(pred.path, alphabet);
   }
 
-  // Backend-dispatched navigation (preorder NodeIds are interchangeable).
-  NodeId Parent(NodeId n) const {
-    return doc_ != nullptr ? doc_->parent(n) : tree_->parent(n);
-  }
-  NodeId FirstChild(NodeId n) const {
-    return doc_ != nullptr ? doc_->first_child(n) : tree_->first_child(n);
-  }
-  NodeId NextSibling(NodeId n) const {
-    return doc_ != nullptr ? doc_->next_sibling(n) : tree_->next_sibling(n);
-  }
-  NodeId XmlEnd(NodeId n) const {
-    return doc_ != nullptr ? doc_->XmlEnd(n) : tree_->XmlEnd(n);
-  }
-  LabelId Label(NodeId n) const {
-    return doc_ != nullptr ? doc_->label(n) : tree_->label(n);
-  }
   std::string_view Value(NodeId n) const {
     if (doc_ != nullptr) return doc_->text(n);
     if (text_ != nullptr && text_->has_value(n)) return text_->Value(n);
     return {};
   }
   NodeClass ClassOf(NodeId n) const {
-    const LabelId l = Label(n);
+    const LabelId l = index_.Label(n);
     return static_cast<size_t>(l) < class_of_.size() ? class_of_[l]
                                                      : NodeClass::kElement;
   }
@@ -106,7 +92,7 @@ class PathVerifier {
     switch (step.test.kind) {
       case NodeTestKind::kName: {
         const LabelId id = name_ids_.at(&step);
-        if (id == kNoLabel || Label(n) != id) return false;
+        if (id == kNoLabel || index_.Label(n) != id) return false;
         break;
       }
       case NodeTestKind::kStar:
@@ -170,15 +156,15 @@ class PathVerifier {
     switch (step.axis) {
       case Axis::kChild:
       case Axis::kAttribute:
-        for (NodeId c = FirstChild(context); c != kNullNode;
-             c = NextSibling(c)) {
+        for (NodeId c = index_.FirstChild(context); c != kNullNode;
+             c = index_.NextSibling(c)) {
           const int r = visit(c);
           if (r != 0) return r > 0;
         }
         return false;
       case Axis::kDescendant: {
         // Descendants of context = the preorder range (context, XmlEnd).
-        const NodeId end = XmlEnd(context);
+        const NodeId end = index_.XmlEnd(context);
         for (NodeId m = context + 1; m < end; ++m) {
           const int r = visit(m);
           if (r != 0) return r > 0;
@@ -186,8 +172,8 @@ class PathVerifier {
         return false;
       }
       case Axis::kFollowingSibling:
-        for (NodeId s = NextSibling(context); s != kNullNode;
-             s = NextSibling(s)) {
+        for (NodeId s = index_.NextSibling(context); s != kNullNode;
+             s = index_.NextSibling(s)) {
           const int r = visit(s);
           if (r != 0) return r > 0;
         }
@@ -207,20 +193,21 @@ class PathVerifier {
     switch (step.axis) {
       case Axis::kChild:
       case Axis::kAttribute: {
-        const NodeId p = Parent(n);
+        const NodeId p = index_.Parent(n);
         return p != kNullNode && CanEnd(i - 1, p);
       }
       case Axis::kDescendant:
-        for (NodeId p = Parent(n); p != kNullNode; p = Parent(p)) {
+        for (NodeId p = index_.Parent(n); p != kNullNode;
+             p = index_.Parent(p)) {
           if (CanEnd(i - 1, p)) return true;
           if (monitor_->stopped()) return false;
         }
         return false;
       case Axis::kFollowingSibling: {
-        const NodeId p = Parent(n);
+        const NodeId p = index_.Parent(n);
         if (p == kNullNode) return false;
-        for (NodeId s = FirstChild(p); s != kNullNode && s != n;
-             s = NextSibling(s)) {
+        for (NodeId s = index_.FirstChild(p); s != kNullNode && s != n;
+             s = index_.NextSibling(s)) {
           if (CanEnd(i - 1, s)) return true;
           if (monitor_->stopped()) return false;
         }
@@ -231,8 +218,8 @@ class PathVerifier {
   }
 
   const Path& path_;
+  const TreeIndex& index_;
   const Document* doc_;
-  const SuccinctTree* tree_;
   const TextStore* text_;
   ExecMonitor* monitor_;
   std::vector<NodeClass> class_of_;  // indexed by LabelId

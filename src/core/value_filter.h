@@ -5,11 +5,11 @@
 // a pure widening), so the producers stream a *superset* of the answer.
 // This layer closes the gap: a PathVerifier re-checks each candidate
 // against the full original path — including [text()='v'], [@attr='v'] and
-// [contains(...,'v')] — by walking the tree backend directly, reading
-// values from the pointer Document or, on streamed/image-backed engines,
-// from the TextStore. Every visited node is charged to the query's
-// ExecControl, so governed serving keeps its deadline guarantees through
-// the comparison work too.
+// [contains(...,'v')] — by navigating the engine's TreeIndex (whichever
+// backend it wraps) and reading values from the pointer Document when the
+// engine holds one, else from the TextStore. Every visited node is charged
+// to the query's ExecControl, so governed serving keeps its deadline
+// guarantees through the comparison work too.
 //
 // The baseline strategy never comes through here: it evaluates the original
 // path natively (baseline/nodeset_eval.cc) and doubles as the oracle the

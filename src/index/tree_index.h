@@ -2,14 +2,22 @@
 // and its LabelIndex, plus the "topmost labeled nodes" enumeration derived
 // from them (d_t to find the first, f_t to step over binary subtrees).
 //
-// The index is backend-parameterized: it runs over either the pointer-based
-// Document or the SuccinctTree. Node identifiers are preorder ranks in both,
-// so the posting lists are identical; only the navigation primitives
-// (BinaryEnd/XmlEnd/parent/first_child) differ — O(1) array reads on the
-// pointer backend, balanced-parentheses kernel calls (FindClose / excess
-// search / Enclose) on the succinct one. All node identifiers are preorder
-// ranks, and the *binary* tree of the paper is the first-child/next-sibling
-// view: the binary subtree of n spans the preorder range [n, BinaryEnd(n)).
+// The index is the tree as the evaluators see it: every evaluator entry
+// point (EvalAsta, AstaRegionStream, HybridPlan, HybridStream,
+// TopDownJumpRun, the cursor's value filter) takes one `const TreeIndex&`,
+// and the index picks the backend — the pointer-based Document or the
+// SuccinctTree it was constructed over. Callers never pass the tree beside
+// it. Node identifiers are preorder ranks in both, so the posting lists are
+// identical; only the navigation primitives (BinaryEnd/XmlEnd/parent/
+// first_child) differ — O(1) array reads on the pointer backend,
+// balanced-parentheses kernel calls (FindClose / excess search / Enclose)
+// on the succinct one. The *binary* tree of the paper is the
+// first-child/next-sibling view: the binary subtree of n spans the
+// preorder range [n, BinaryEnd(n)).
+//
+// Hot loops that navigate per node resolve the backend once, through
+// VisitTreeView, and run templated on the static view; drivers that only
+// navigate per candidate call the dispatched methods below.
 #ifndef XPWQO_INDEX_TREE_INDEX_H_
 #define XPWQO_INDEX_TREE_INDEX_H_
 
@@ -102,8 +110,9 @@ class TreeIndex {
   LabelIndex labels_;
 };
 
-/// Static-polymorphism views so the evaluators can run over either the
-/// pointer-based Document or the SuccinctTree backend (same NodeIds).
+/// Static-polymorphism views so the evaluators' hot loops run over either
+/// backend without a per-node branch (same NodeIds). Evaluators obtain one
+/// through VisitTreeView, never by naming a backend themselves.
 struct PointerTreeView {
   const Document* doc;
 
@@ -129,6 +138,15 @@ struct SuccinctTreeView {
   NodeId XmlEnd(NodeId n) const { return tree->XmlEnd(n); }
   NodeId BinaryEnd(NodeId n) const { return tree->BinaryEnd(n); }
 };
+
+/// Calls `f` with the static view of the backend `index` was built over —
+/// the one backend switch behind every evaluator entry point. `f` must
+/// return the same type for both views.
+template <typename F>
+auto VisitTreeView(const TreeIndex& index, F&& f) {
+  if (index.doc() != nullptr) return f(PointerTreeView{index.doc()});
+  return f(SuccinctTreeView{index.succinct()});
+}
 
 }  // namespace xpwqo
 

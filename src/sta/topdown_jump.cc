@@ -65,7 +65,7 @@ std::vector<StateJumpInfo> ClassifyStates(const Sta& sta) {
 template <typename TreeView>
 class JumpRunner {
  public:
-  JumpRunner(const Sta& sta, const TreeView& doc, const TreeIndex& index,
+  JumpRunner(const Sta& sta, TreeView doc, const TreeIndex& index,
              const JumpRunOptions& options)
       : sta_(sta),
         doc_(doc),
@@ -205,7 +205,7 @@ class JumpRunner {
   }
 
   const Sta& sta_;
-  const TreeView& doc_;
+  const TreeView doc_;
   const TreeIndex& index_;
   JumpRunOptions options_;
   std::vector<StateJumpInfo> infos_;
@@ -218,18 +218,11 @@ class JumpRunner {
 
 }  // namespace
 
-JumpRunResult TopDownJumpRun(const Sta& sta, const Document& doc,
-                             const TreeIndex& index,
+JumpRunResult TopDownJumpRun(const Sta& sta, const TreeIndex& index,
                              const JumpRunOptions& options) {
-  PointerTreeView view{&doc};
-  return JumpRunner<PointerTreeView>(sta, view, index, options).Run();
-}
-
-JumpRunResult TopDownJumpRun(const Sta& sta, const SuccinctTree& tree,
-                             const TreeIndex& index,
-                             const JumpRunOptions& options) {
-  SuccinctTreeView view{&tree};
-  return JumpRunner<SuccinctTreeView>(sta, view, index, options).Run();
+  return VisitTreeView(index, [&](auto view) {
+    return JumpRunner<decltype(view)>(sta, view, index, options).Run();
+  });
 }
 
 }  // namespace xpwqo

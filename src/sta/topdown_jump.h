@@ -5,6 +5,9 @@
 // Theorem 3.1: on an accepting run the partial run agrees with the full run
 // exactly on the relevant nodes; otherwise the empty mapping is returned.
 //
+// Like every evaluator, the run sees the document only through its
+// TreeIndex: callers pass the index, and the index picks the backend.
+//
 // Deviations from the paper's pseudo-code, both conservative (they can only
 // enlarge the visited set, never break correctness):
 //  * jumping from a looping state q additionally requires q ∈ B — otherwise
@@ -64,17 +67,11 @@ struct JumpRunResult {
   StatusCode interrupt = StatusCode::kOk;
 };
 
-/// Runs Algorithm B.1. `sta` must be top-down deterministic and complete
+/// Runs Algorithm B.1 over the document behind `index` (the index picks
+/// the backend). `sta` must be top-down deterministic and complete
 /// (minimality is what makes the visited set tight; correctness holds for
 /// any deterministic complete automaton).
-JumpRunResult TopDownJumpRun(const Sta& sta, const Document& doc,
-                             const TreeIndex& index,
-                             const JumpRunOptions& options = {});
-
-/// Same, over the succinct backend (`index` should be succinct-backed so
-/// the jump primitives resolve through the BP kernels).
-JumpRunResult TopDownJumpRun(const Sta& sta, const SuccinctTree& tree,
-                             const TreeIndex& index,
+JumpRunResult TopDownJumpRun(const Sta& sta, const TreeIndex& index,
                              const JumpRunOptions& options = {});
 
 }  // namespace xpwqo

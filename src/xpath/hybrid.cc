@@ -38,28 +38,6 @@ StatusOr<HybridPlan> HybridPlan::Make(const Path& path,
 
 namespace {
 
-/// Backend dispatch for the full/suffix automaton runs inside the hybrid
-/// plan: the pointer view goes through EvalAsta, the succinct one through
-/// EvalAstaSuccinct, both with the same (backend-matched) TreeIndex.
-AstaEvalResult EvalOn(const Asta& asta, const PointerTreeView& view,
-                      const TreeIndex* index, const AstaEvalOptions& opts) {
-  return EvalAsta(asta, *view.doc, index, opts);
-}
-AstaEvalResult EvalOn(const Asta& asta, const SuccinctTreeView& view,
-                      const TreeIndex* index, const AstaEvalOptions& opts) {
-  return EvalAstaSuccinct(asta, *view.tree, index, opts);
-}
-AstaEvalResult EvalOnAt(const Asta& asta, const PointerTreeView& view,
-                        const TreeIndex* index, NodeId start,
-                        const AstaEvalOptions& opts) {
-  return EvalAstaAt(asta, *view.doc, index, start, opts);
-}
-AstaEvalResult EvalOnAt(const Asta& asta, const SuccinctTreeView& view,
-                        const TreeIndex* index, NodeId start,
-                        const AstaEvalOptions& opts) {
-  return EvalAstaSuccinctAt(asta, *view.tree, index, start, opts);
-}
-
 /// Pivot choice shared by the eager and streaming drivers: the step with
 /// the rarest label (earliest wins ties).
 size_t PickPivot(const std::vector<LabelId>& labels, const TreeIndex& index) {
@@ -73,39 +51,22 @@ size_t PickPivot(const std::vector<LabelId>& labels, const TreeIndex& index) {
 /// Upward prefix check shared by both drivers: matches //l_{pivot-1}/.../l1
 /// as an ancestor subsequence, greedily from the candidate up (pure parent
 /// moves, like the paper). Counts each step into `nodes_visited`.
-template <typename TreeView>
-bool PrefixMatches(const TreeView& view, const std::vector<LabelId>& labels,
+bool PrefixMatches(const TreeIndex& index, const std::vector<LabelId>& labels,
                    size_t pivot, NodeId candidate, int64_t* nodes_visited) {
   size_t need = pivot;  // labels[need-1] is the next one to find
-  for (NodeId p = view.Parent(candidate); p != kNullNode && need > 0;
-       p = view.Parent(p)) {
+  for (NodeId p = index.Parent(candidate); p != kNullNode && need > 0;
+       p = index.Parent(p)) {
     ++*nodes_visited;
-    if (view.label(p) == labels[need - 1]) --need;
+    if (index.Label(p) == labels[need - 1]) --need;
   }
   return need == 0;
 }
 
 }  // namespace
 
-StatusOr<std::vector<NodeId>> HybridPlan::Run(const Document& doc,
-                                              const TreeIndex& index,
-                                              HybridStats* stats,
-                                              const ExecControl* control) const {
-  return RunImpl(PointerTreeView{&doc}, index, stats, control);
-}
-
-StatusOr<std::vector<NodeId>> HybridPlan::Run(const SuccinctTree& tree,
-                                              const TreeIndex& index,
-                                              HybridStats* stats,
-                                              const ExecControl* control) const {
-  return RunImpl(SuccinctTreeView{&tree}, index, stats, control);
-}
-
-template <typename TreeView>
-StatusOr<std::vector<NodeId>> HybridPlan::RunImpl(const TreeView& doc,
-                                                  const TreeIndex& index,
-                                                  HybridStats* stats,
-                                                  const ExecControl* control) const {
+StatusOr<std::vector<NodeId>> HybridPlan::Run(
+    const TreeIndex& index, HybridStats* stats,
+    const ExecControl* control) const {
   const size_t k = labels_.size();
   const size_t pivot = PickPivot(labels_, index);
   HybridStats local;
@@ -120,7 +81,7 @@ StatusOr<std::vector<NodeId>> HybridPlan::RunImpl(const TreeView& doc,
     // regular run from the pivot occurrences downward — which is the plain
     // top-down evaluation.
     opts.control = control;
-    AstaEvalResult r = EvalOn(full_asta_, doc, &index, opts);
+    AstaEvalResult r = EvalAsta(full_asta_, index, opts);
     st->nodes_visited = r.stats.nodes_visited;
     if (r.interrupt != StatusCode::kOk) return InterruptToStatus(r.interrupt);
     return std::move(r.nodes);
@@ -157,14 +118,14 @@ StatusOr<std::vector<NodeId>> HybridPlan::RunImpl(const TreeView& doc,
         return InterruptToStatus(StatusCode::kResourceExhausted);
       }
     }
-    if (!PrefixMatches(doc, labels_, pivot, c, &st->nodes_visited)) continue;
+    if (!PrefixMatches(index, labels_, pivot, c, &st->nodes_visited)) continue;
     if (pivot_is_last) {
       out.push_back(c);
       continue;
     }
     // Downward: evaluate the suffix over the candidate's strict
     // descendants (binary subtree of its first child).
-    NodeId below = doc.Left(c);
+    NodeId below = index.FirstChild(c);
     if (below == kNullNode) continue;
     if (control != nullptr) {
       if (budget >= 0) {
@@ -176,8 +137,7 @@ StatusOr<std::vector<NodeId>> HybridPlan::RunImpl(const TreeView& doc,
       }
       opts.control = &sub_control;
     }
-    AstaEvalResult sub =
-        EvalOnAt(suffix_astas_[pivot], doc, &index, below, opts);
+    AstaEvalResult sub = EvalAstaAt(suffix_astas_[pivot], index, below, opts);
     st->nodes_visited += sub.stats.nodes_visited;
     if (sub.interrupt != StatusCode::kOk) {
       return InterruptToStatus(sub.interrupt);
@@ -194,33 +154,9 @@ StatusOr<std::vector<NodeId>> HybridPlan::RunImpl(const TreeView& doc,
 // HybridStream: the same plan, driven candidate by candidate.
 
 struct HybridStream::Impl {
-  virtual ~Impl() = default;
-  virtual bool NextBatch(std::vector<NodeId>* out) = 0;
-  virtual void SkipTo(NodeId target) = 0;
-  virtual bool streaming() const = 0;
-  virtual const HybridStats& stats() const = 0;
-  virtual StatusCode interrupt() const = 0;
-};
-
-namespace {
-
-AstaRegionStream MakeRegionStream(const Asta& asta, const PointerTreeView& v,
-                                  const TreeIndex& index,
-                                  const AstaEvalOptions& opts) {
-  return AstaRegionStream(asta, *v.doc, &index, opts);
-}
-AstaRegionStream MakeRegionStream(const Asta& asta, const SuccinctTreeView& v,
-                                  const TreeIndex& index,
-                                  const AstaEvalOptions& opts) {
-  return AstaRegionStream(asta, *v.tree, &index, opts);
-}
-
-template <typename TreeView>
-class HybridStreamImpl final : public HybridStream::Impl {
- public:
-  HybridStreamImpl(const HybridPlan& plan, TreeView view,
-                   const TreeIndex& index, const ExecControl* control)
-      : plan_(&plan), view_(view), index_(&index) {
+  Impl(const HybridPlan& plan, const TreeIndex& index,
+       const ExecControl* control)
+      : plan_(&plan), index_(&index) {
     const std::vector<LabelId>& labels = plan.labels();
     const size_t k = labels.size();
     const size_t pivot = PickPivot(labels, index);
@@ -247,14 +183,13 @@ class HybridStreamImpl final : public HybridStream::Impl {
       // region stream takes the whole control, budget included.
       AstaEvalOptions full_opts = opts_;
       full_opts.control = control;
-      full_.emplace(MakeRegionStream(plan.full_asta(), view_, index,
-                                     full_opts));
+      full_.emplace(plan.full_asta(), index, full_opts);
       return;
     }
     pivot_cursor_ = PostingList::Cursor(index.labels().Postings(labels[pivot]));
   }
 
-  bool NextBatch(std::vector<NodeId>* out) override {
+  bool NextBatch(std::vector<NodeId>* out) {
     if (interrupt_ != StatusCode::kOk) return false;
     if (full_.has_value()) {
       const bool more = full_->NextRegion(out);
@@ -270,7 +205,7 @@ class HybridStreamImpl final : public HybridStream::Impl {
       // Subsumed by the last passed candidate's subtree evaluation.
       if (!pivot_is_last_ && c < cover_end_) continue;
       // All of this candidate's matches would precede the seek target.
-      if (pivot_is_last_ ? c < skip_to_ : view_.XmlEnd(c) <= skip_to_) {
+      if (pivot_is_last_ ? c < skip_to_ : index_->XmlEnd(c) <= skip_to_) {
         continue;
       }
       ++stats_.nodes_visited;  // the candidate itself
@@ -284,15 +219,15 @@ class HybridStreamImpl final : public HybridStream::Impl {
           return false;
         }
       }
-      if (!PrefixMatches(view_, labels, pivot_, c, &stats_.nodes_visited)) {
+      if (!PrefixMatches(*index_, labels, pivot_, c, &stats_.nodes_visited)) {
         continue;
       }
       if (pivot_is_last_) {
         out->push_back(c);
         return true;
       }
-      cover_end_ = view_.XmlEnd(c);
-      NodeId below = view_.Left(c);
+      cover_end_ = index_->XmlEnd(c);
+      NodeId below = index_->FirstChild(c);
       if (below == kNullNode) continue;
       if (governed_ && budget_ >= 0) {
         const int64_t left = budget_ - stats_.nodes_visited;
@@ -303,7 +238,7 @@ class HybridStreamImpl final : public HybridStream::Impl {
         sub_control_.max_visited = left;
       }
       AstaEvalResult sub =
-          EvalOnAt(plan_->suffix_asta(pivot_), view_, index_, below, opts_);
+          EvalAstaAt(plan_->suffix_asta(pivot_), *index_, below, opts_);
       stats_.nodes_visited += sub.stats.nodes_visited;
       if (sub.interrupt != StatusCode::kOk) {
         interrupt_ = sub.interrupt;  // partial batch: never emitted
@@ -315,7 +250,7 @@ class HybridStreamImpl final : public HybridStream::Impl {
     }
   }
 
-  void SkipTo(NodeId target) override {
+  void SkipTo(NodeId target) {
     if (full_.has_value()) {
       full_->SkipTo(target);
       return;
@@ -323,17 +258,11 @@ class HybridStreamImpl final : public HybridStream::Impl {
     skip_to_ = std::max(skip_to_, target);
   }
 
-  bool streaming() const override {
+  bool streaming() const {
     return full_.has_value() ? full_->streaming() : true;
   }
 
-  const HybridStats& stats() const override { return stats_; }
-
-  StatusCode interrupt() const override { return interrupt_; }
-
- private:
   const HybridPlan* plan_;
-  const TreeView view_;
   const TreeIndex* index_;
   AstaEvalOptions opts_;  // jumping + memoization + info propagation
   size_t pivot_ = 0;
@@ -352,17 +281,9 @@ class HybridStreamImpl final : public HybridStream::Impl {
   HybridStats stats_;
 };
 
-}  // namespace
-
-HybridStream::HybridStream(const HybridPlan& plan, const Document& doc,
-                           const TreeIndex& index, const ExecControl* control)
-    : impl_(std::make_unique<HybridStreamImpl<PointerTreeView>>(
-          plan, PointerTreeView{&doc}, index, control)) {}
-
-HybridStream::HybridStream(const HybridPlan& plan, const SuccinctTree& tree,
-                           const TreeIndex& index, const ExecControl* control)
-    : impl_(std::make_unique<HybridStreamImpl<SuccinctTreeView>>(
-          plan, SuccinctTreeView{&tree}, index, control)) {}
+HybridStream::HybridStream(const HybridPlan& plan, const TreeIndex& index,
+                           const ExecControl* control)
+    : impl_(std::make_unique<Impl>(plan, index, control)) {}
 
 HybridStream::HybridStream(HybridStream&&) noexcept = default;
 HybridStream& HybridStream::operator=(HybridStream&&) noexcept = default;
@@ -373,7 +294,7 @@ bool HybridStream::NextBatch(std::vector<NodeId>* out) {
 }
 void HybridStream::SkipTo(NodeId target) { impl_->SkipTo(target); }
 bool HybridStream::streaming() const { return impl_->streaming(); }
-const HybridStats& HybridStream::stats() const { return impl_->stats(); }
-StatusCode HybridStream::interrupt() const { return impl_->interrupt(); }
+const HybridStats& HybridStream::stats() const { return impl_->stats_; }
+StatusCode HybridStream::interrupt() const { return impl_->interrupt_; }
 
 }  // namespace xpwqo

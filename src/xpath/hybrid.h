@@ -8,6 +8,10 @@
 //
 // Like the paper's engine, the upward part uses parent moves (our index has
 // no labeled-ancestor jumps either, §5 "Implementation").
+//
+// Both drivers see the document only through its TreeIndex: callers pass
+// the index, and the index picks the backend. The candidate loop calls the
+// index's navigation directly; the suffix runs go through EvalAstaAt.
 #ifndef XPWQO_XPATH_HYBRID_H_
 #define XPWQO_XPATH_HYBRID_H_
 
@@ -47,16 +51,7 @@ class HybridPlan {
   /// `control`, the run stops early on deadline / cancellation / budget and
   /// returns the corresponding error Status (kDeadlineExceeded /
   /// kCancelled / kResourceExhausted).
-  StatusOr<std::vector<NodeId>> Run(const Document& doc,
-                                    const TreeIndex& index,
-                                    HybridStats* stats = nullptr,
-                                    const ExecControl* control = nullptr) const;
-
-  /// Same, over the succinct backend: the upward walk uses BP parent moves
-  /// and the downward suffix run uses the succinct jumping evaluator.
-  /// `index` should be succinct-backed.
-  StatusOr<std::vector<NodeId>> Run(const SuccinctTree& tree,
-                                    const TreeIndex& index,
+  StatusOr<std::vector<NodeId>> Run(const TreeIndex& index,
                                     HybridStats* stats = nullptr,
                                     const ExecControl* control = nullptr) const;
 
@@ -71,12 +66,6 @@ class HybridPlan {
 
  private:
   HybridPlan() = default;
-
-  template <typename TreeView>
-  StatusOr<std::vector<NodeId>> RunImpl(const TreeView& view,
-                                        const TreeIndex& index,
-                                        HybridStats* stats,
-                                        const ExecControl* control) const;
 
   std::vector<LabelId> labels_;  // one per step
   /// Suffix automata: suffix_astas_[p] covers steps p+1.. (empty Asta when
@@ -102,11 +91,9 @@ class HybridStream {
  public:
   /// `control` (optional) governs the pull: candidates charge the monitor
   /// and suffix evaluations run under the remaining budget. Must outlive
-  /// the stream.
-  HybridStream(const HybridPlan& plan, const Document& doc,
-               const TreeIndex& index, const ExecControl* control = nullptr);
-  HybridStream(const HybridPlan& plan, const SuccinctTree& tree,
-               const TreeIndex& index, const ExecControl* control = nullptr);
+  /// the stream, as must `plan` and `index`.
+  HybridStream(const HybridPlan& plan, const TreeIndex& index,
+               const ExecControl* control = nullptr);
   HybridStream(HybridStream&&) noexcept;
   HybridStream& operator=(HybridStream&&) noexcept;
   ~HybridStream();
@@ -130,7 +117,7 @@ class HybridStream {
   /// emitted).
   StatusCode interrupt() const;
 
-  struct Impl;  // backend-templated implementations live in hybrid.cc
+  struct Impl;  // defined in hybrid.cc
 
  private:
   std::unique_ptr<Impl> impl_;

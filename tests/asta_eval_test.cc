@@ -64,7 +64,7 @@ TEST(AstaEvalTest, Example41SmallTree) {
   Asta asta = AstaForDescADescBWithC(ids.a, ids.b, ids.c);
   for (const AstaEvalOptions& opts : kAllConfigs) {
     TreeIndex index(d);
-    AstaEvalResult r = EvalAsta(asta, d, &index, opts);
+    AstaEvalResult r = EvalAsta(asta, index, opts);
     EXPECT_TRUE(r.accepted);
     EXPECT_EQ(r.nodes, (std::vector<NodeId>{2}))
         << "jump=" << opts.jumping << " memo=" << opts.memoize;
@@ -76,7 +76,7 @@ TEST(AstaEvalTest, SelectionRequiresAAncestorAndCChild) {
   DocIds ids = IdsOf(d);
   Asta asta = AstaForDescADescBWithC(ids.a, ids.b, ids.c);
   TreeIndex index(d);
-  AstaEvalResult r = EvalAsta(asta, d, &index, kOpt);
+  AstaEvalResult r = EvalAsta(asta, index, kOpt);
   EXPECT_EQ(r.nodes, XmlOracleABC(d, ids));
   ASSERT_EQ(r.nodes.size(), 1u);
 }
@@ -89,7 +89,7 @@ TEST(AstaEvalTest, AcceptanceTracksNonEmptyMatch) {
   DocIds ids = IdsOf(no_match);
   Asta asta = AstaForDescADescB(ids.a, ids.b);
   TreeIndex index(no_match);
-  AstaEvalResult r = EvalAsta(asta, no_match, &index, kOpt);
+  AstaEvalResult r = EvalAsta(asta, index, kOpt);
   EXPECT_FALSE(r.accepted);
   EXPECT_TRUE(r.nodes.empty());
   EXPECT_EQ(r.accepted, testing_util::AstaOracleAccepts(asta, no_match));
@@ -98,7 +98,7 @@ TEST(AstaEvalTest, AcceptanceTracksNonEmptyMatch) {
   DocIds ids2 = IdsOf(match);
   Asta asta2 = AstaForDescADescB(ids2.a, ids2.b);
   TreeIndex index2(match);
-  AstaEvalResult r2 = EvalAsta(asta2, match, &index2, kOpt);
+  AstaEvalResult r2 = EvalAsta(asta2, index2, kOpt);
   EXPECT_TRUE(r2.accepted);
   EXPECT_EQ(r2.nodes.size(), 1u);
 }
@@ -118,7 +118,7 @@ TEST_P(AstaEvalPropertyTest, AllConfigurationsAgreeWithOracle) {
     std::vector<NodeId> expect = AstaOracleSelect(asta, d);
     bool expect_accept = AstaOracleAccepts(asta, d);
     for (const AstaEvalOptions& opts : kAllConfigs) {
-      AstaEvalResult r = EvalAsta(asta, d, &index, opts);
+      AstaEvalResult r = EvalAsta(asta, index, opts);
       ASSERT_EQ(r.accepted, expect_accept);
       ASSERT_EQ(r.nodes, expect)
           << "jump=" << opts.jumping << " memo=" << opts.memoize
@@ -138,13 +138,12 @@ TEST(AstaEvalTest, SuccinctBackendAgrees) {
     TreeIndex index(d);
     SuccinctTree tree(d);
     TreeIndex succinct_index(tree);
-    AstaEvalResult pointer = EvalAsta(asta, d, &index, kOpt);
-    AstaEvalResult succinct = EvalAstaSuccinct(asta, tree, nullptr, kMemoOnly);
+    AstaEvalResult pointer = EvalAsta(asta, index, kOpt);
+    AstaEvalResult succinct = EvalAsta(asta, succinct_index, kMemoOnly);
     EXPECT_EQ(pointer.nodes, succinct.nodes);
     EXPECT_EQ(pointer.accepted, succinct.accepted);
     // The succinct backend with a succinct-backed index jumps too.
-    AstaEvalResult jumping =
-        EvalAstaSuccinct(asta, tree, &succinct_index, kOpt);
+    AstaEvalResult jumping = EvalAsta(asta, succinct_index, kOpt);
     EXPECT_EQ(pointer.nodes, jumping.nodes);
     EXPECT_EQ(pointer.accepted, jumping.accepted);
   }
@@ -159,8 +158,8 @@ TEST(AstaEvalTest, JumpingVisitsFarFewerNodes) {
   DocIds ids = IdsOf(d);
   Asta asta = AstaForDescADescBWithC(ids.a, ids.b, ids.c);
   TreeIndex index(d);
-  AstaEvalResult naive = EvalAsta(asta, d, nullptr, kNaive);
-  AstaEvalResult jump = EvalAsta(asta, d, &index, kOpt);
+  AstaEvalResult naive = EvalAsta(asta, index, kNaive);
+  AstaEvalResult jump = EvalAsta(asta, index, kOpt);
   EXPECT_EQ(naive.nodes, jump.nodes);
   EXPECT_EQ(jump.nodes.size(), 2u);
   // The naive run must touch the full document; the jumping run only the
@@ -175,7 +174,7 @@ TEST(AstaEvalTest, MemoizationAmortizesLookups) {
   DocIds ids = IdsOf(d);
   Asta asta = AstaForDescADescB(ids.a, ids.b);
   TreeIndex index(d);
-  AstaEvalResult memo = EvalAsta(asta, d, &index, kMemoOnly);
+  AstaEvalResult memo = EvalAsta(asta, index, kMemoOnly);
   // Far fewer memo entries than visited nodes: the |Q| factor is amortized.
   EXPECT_GT(memo.stats.nodes_visited, 1000);
   EXPECT_LT(memo.stats.memo_step_entries + memo.stats.memo_eval_entries,
@@ -217,8 +216,9 @@ TEST(AstaEvalTest, InfoPropagationChecksOneWitness) {
   AstaEvalOptions with = kNaive;
   with.info_propagation = true;
   AstaEvalOptions without = kNaive;
-  AstaEvalResult r_with = EvalAsta(asta, d, nullptr, with);
-  AstaEvalResult r_without = EvalAsta(asta, d, nullptr, without);
+  TreeIndex index(d);
+  AstaEvalResult r_with = EvalAsta(asta, index, with);
+  AstaEvalResult r_without = EvalAsta(asta, index, without);
   EXPECT_EQ(r_with.nodes, r_without.nodes);
   ASSERT_EQ(r_with.nodes.size(), 1u);
   // One-witness semantics: the y-forest is never entered.
@@ -232,7 +232,7 @@ TEST(AstaEvalTest, Example41StatsMatchPaperIntuition) {
   DocIds ids = IdsOf(d);
   Asta asta = AstaForDescADescBWithC(ids.a, ids.b, ids.c);
   TreeIndex index(d);
-  AstaEvalResult r = EvalAsta(asta, d, &index, kOpt);
+  AstaEvalResult r = EvalAsta(asta, index, kOpt);
   EXPECT_EQ(r.nodes.size(), 2u);
   // Visited: the a, the two b's, and the c's checked below them — none of
   // the x's except where stepping was required.
@@ -258,7 +258,8 @@ TEST(AstaEvalTest, EmptyMaskSkipsSubtreesEvenWithoutJumping) {
   asta.AddTransition(qs, LabelSet::Of({s_label}), true, f.True());
   asta.AddTransition(qs, LabelSet::All(), false, f.Down(2, qs));
   asta.Finalize();
-  AstaEvalResult r = EvalAsta(asta, d, nullptr, kNaive);
+  TreeIndex index(d);
+  AstaEvalResult r = EvalAsta(asta, index, kNaive);
   EXPECT_TRUE(r.accepted);
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_EQ(d.LabelName(r.nodes[0]), "s");
@@ -294,7 +295,7 @@ TEST(AstaEvalTest, ExampleC1Semantics) {
   LabelId c = d.alphabet().Find("c");
   Asta asta = AstaForConjunctionOfDisjunctions(x, {a, b, c, b});
   TreeIndex index(d);
-  AstaEvalResult r = EvalAsta(asta, d, &index, kOpt);
+  AstaEvalResult r = EvalAsta(asta, index, kOpt);
   // x1(a,c): (a|b) yes, (c|b) yes -> selected. x4(a): second conjunct fails.
   // x6(b): both conjuncts satisfied by b. x8(c): first conjunct fails.
   EXPECT_EQ(r.nodes, (std::vector<NodeId>{1, 6}));

@@ -57,7 +57,9 @@ TEST(CollectionTest, SharedAlphabetSpansDocumentsAndBackends) {
 
 TEST(CollectionTest, PreparedBeforeLoadingStillBinds) {
   // The serving pattern: the query set is prepared at startup; documents
-  // arrive later. Labels the query interned get reused by the loaders.
+  // arrive later. Prepare only looks names up, so 'book' and 'keyword' are
+  // unknown here; the loads intern them, and RunAll rebinds the now-stale
+  // plan to a fresh compilation.
   Collection library;
   auto query = library.Prepare("//book//keyword");
   ASSERT_TRUE(query.ok());
@@ -145,9 +147,9 @@ TEST(CollectionTest, CachedWildcardRecompilesAfterNewAttributeLabel) {
 }
 
 TEST(CollectionTest, WildcardExcludesLabelsItsOwnCompileInterned) {
-  // '*' compiles before '@id' is interned by the same query; the wildcard
-  // must still exclude it, and the query must not come out stale (RunAll
-  // would refuse it).
+  // Prepared on an empty alphabet, the plan is stale once the load below
+  // interns 'book', 't' and '@id'; RunAll binds the recompilation, whose
+  // '*' must still exclude the attribute label '@id'.
   Collection library;
   auto query = library.Prepare("//book[* and @id]");
   ASSERT_TRUE(query.ok());

@@ -73,7 +73,7 @@ TEST(CompileStaTest, MinimizedAutomataDriveJumpingRuns) {
       auto sta = CompileToTdsta(MustParse(q), d.alphabet_ptr().get());
       ASSERT_TRUE(sta.ok());
       Sta min = MinimizeTopDown(*sta);
-      JumpRunResult jump = TopDownJumpRun(min, d, index);
+      JumpRunResult jump = TopDownJumpRun(min, index);
       auto expect = EvalNodeSetBaseline(q, d);
       ASSERT_TRUE(expect.ok());
       ASSERT_TRUE(jump.accepting);
@@ -101,7 +101,7 @@ TEST(CompileStaTest, JumpVisitsFractionOnSparseMatches) {
   auto sta = CompileToTdsta(MustParse("//a//b"), d.alphabet_ptr().get());
   ASSERT_TRUE(sta.ok());
   Sta min = MinimizeTopDown(*sta);
-  JumpRunResult jump = TopDownJumpRun(min, d, index);
+  JumpRunResult jump = TopDownJumpRun(min, index);
   ASSERT_TRUE(jump.accepting);
   EXPECT_EQ(jump.selected.size(), 1u);
   EXPECT_LT(jump.stats.nodes_visited, 10);

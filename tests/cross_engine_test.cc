@@ -110,14 +110,13 @@ void CheckAllEngines(const Document& doc, const std::string& query) {
   SuccinctTree tree(doc);
   TreeIndex succinct_index(tree);
   for (const AstaEvalOptions& opts : configs) {
-    AstaEvalResult r = EvalAsta(*asta, doc, &index, opts);
+    AstaEvalResult r = EvalAsta(*asta, index, opts);
     ASSERT_EQ(r.nodes, *plan_expect)
         << "asta jump=" << opts.jumping << " memo=" << opts.memoize
         << " infoprop=" << opts.info_propagation;
     // Every configuration — including the jumping ones — must agree on the
     // succinct backend through the succinct-backed TreeIndex.
-    AstaEvalResult s = EvalAstaSuccinct(
-        *asta, tree, opts.jumping ? &succinct_index : nullptr, opts);
+    AstaEvalResult s = EvalAsta(*asta, succinct_index, opts);
     ASSERT_EQ(s.nodes, *plan_expect)
         << "succinct jump=" << opts.jumping << " memo=" << opts.memoize
         << " infoprop=" << opts.info_propagation;
@@ -127,10 +126,10 @@ void CheckAllEngines(const Document& doc, const std::string& query) {
     auto plan = HybridPlan::Make(plan_path, doc.alphabet_ptr().get());
     ASSERT_TRUE(plan.ok());
     EXPECT_EQ(doc.alphabet().size(), labels) << "HybridPlan::Make wrote it";
-    auto hybrid = plan->Run(doc, index);
+    auto hybrid = plan->Run(index);
     ASSERT_TRUE(hybrid.ok());
     ASSERT_EQ(*hybrid, *plan_expect) << "hybrid";
-    auto succinct_hybrid = plan->Run(tree, succinct_index);
+    auto succinct_hybrid = plan->Run(succinct_index);
     ASSERT_TRUE(succinct_hybrid.ok());
     ASSERT_EQ(*succinct_hybrid, *plan_expect) << "succinct hybrid";
   }
@@ -142,16 +141,16 @@ void CheckAllEngines(const Document& doc, const std::string& query) {
     StaRunResult full = TopDownRun(*sta, doc);
     ASSERT_EQ(full.selected, *plan_expect) << "tdsta full run";
     Sta minimal = MinimizeTopDown(*sta);
-    JumpRunResult jump = TopDownJumpRun(minimal, doc, index);
+    JumpRunResult jump = TopDownJumpRun(minimal, index);
     ASSERT_EQ(jump.selected, *plan_expect) << "tdsta jumping run";
-    JumpRunResult sjump = TopDownJumpRun(minimal, tree, succinct_index);
+    JumpRunResult sjump = TopDownJumpRun(minimal, succinct_index);
     ASSERT_EQ(sjump.selected, *plan_expect) << "tdsta succinct jumping run";
     if (jump.accepting) {
       // LIMIT-k truncation: the early-stopped run must agree with the full
       // run's document-order prefix (meaningful on accepting runs only).
       JumpRunOptions limit;
       limit.max_selected = 2;
-      JumpRunResult head = TopDownJumpRun(minimal, doc, index, limit);
+      JumpRunResult head = TopDownJumpRun(minimal, index, limit);
       ASSERT_EQ(head.selected.size(),
                 std::min<size_t>(2, plan_expect->size()));
       ASSERT_TRUE(std::equal(head.selected.begin(), head.selected.end(),
@@ -161,10 +160,9 @@ void CheckAllEngines(const Document& doc, const std::string& query) {
   }
 
   // The serving surface: cursors over every strategy, on both backends.
-  internal::CursorContext pointer_ctx{&doc, nullptr, &index};
+  internal::CursorContext pointer_ctx{&index, nullptr, &doc};
   const TextStore text = TextStore::FromDocument(doc);
-  internal::CursorContext succinct_ctx{nullptr, &tree, &succinct_index,
-                                       &text};
+  internal::CursorContext succinct_ctx{&succinct_index, &text};
   CheckCursors(pointer_ctx, *prepared, *expect, "pointer");
   CheckCursors(succinct_ctx, *prepared, *expect, "succinct");
 }

@@ -257,14 +257,12 @@ TEST(PreparedQueryTest, MinimalTdstaDrivesTruncatedJumpRuns) {
   const Sta tdsta = MinimizeTopDown(*compiled);
   auto full = engine.Run(*query);
   ASSERT_TRUE(full.ok());
-  JumpRunResult all =
-      TopDownJumpRun(tdsta, engine.document(), engine.index());
+  JumpRunResult all = TopDownJumpRun(tdsta, engine.index());
   ASSERT_TRUE(all.accepting);
   EXPECT_EQ(all.selected, full->nodes);
   JumpRunOptions limit;
   limit.max_selected = 5;
-  JumpRunResult first =
-      TopDownJumpRun(tdsta, engine.document(), engine.index(), limit);
+  JumpRunResult first = TopDownJumpRun(tdsta, engine.index(), limit);
   ASSERT_EQ(first.selected.size(),
             std::min<size_t>(5, full->nodes.size()));
   EXPECT_TRUE(std::equal(first.selected.begin(), first.selected.end(),

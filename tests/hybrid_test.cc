@@ -33,7 +33,7 @@ TEST(HybridTest, AgreesWithBaselineOnSmallTrees) {
                                d.alphabet_ptr().get());
   ASSERT_TRUE(plan.ok()) << plan.status();
   TreeIndex index(d);
-  auto got = plan->Run(d, index);
+  auto got = plan->Run(index);
   ASSERT_TRUE(got.ok());
   auto expect = EvalNodeSetBaseline("//li//kw//em", d);
   ASSERT_TRUE(expect.ok());
@@ -47,7 +47,7 @@ TEST(HybridTest, NestedPivotsDeduplicate) {
       HybridPlan::Make(MustParse("//li//kw//em"), d.alphabet_ptr().get());
   ASSERT_TRUE(plan.ok());
   TreeIndex index(d);
-  auto got = plan->Run(d, index);
+  auto got = plan->Run(index);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, (std::vector<NodeId>{4}));
 }
@@ -63,7 +63,7 @@ TEST(HybridTest, PivotSelectionPicksRarestLabel) {
   ASSERT_TRUE(plan.ok());
   TreeIndex index(d);
   HybridStats stats;
-  auto got = plan->Run(d, index, &stats);
+  auto got = plan->Run(index, &stats);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(stats.pivot, 1);
   EXPECT_EQ(stats.pivot_count, 1);
@@ -86,7 +86,7 @@ TEST(HybridTest, LastLabelPivotIsPureBottomUp) {
   ASSERT_TRUE(plan.ok());
   TreeIndex index(d);
   HybridStats stats;
-  auto got = plan->Run(d, index, &stats);
+  auto got = plan->Run(index, &stats);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(stats.pivot, 2);
   ASSERT_EQ(got->size(), 1u);
@@ -105,7 +105,7 @@ TEST(HybridTest, FirstLabelPivotFallsBackToRegular) {
   ASSERT_TRUE(plan.ok());
   TreeIndex index(d);
   HybridStats stats;
-  auto got = plan->Run(d, index, &stats);
+  auto got = plan->Run(index, &stats);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(stats.pivot, 0);
   EXPECT_EQ(*got, (std::vector<NodeId>{3}));
@@ -116,7 +116,7 @@ TEST(HybridTest, SingleStepQuery) {
   auto plan = HybridPlan::Make(MustParse("//a"), d.alphabet_ptr().get());
   ASSERT_TRUE(plan.ok());
   TreeIndex index(d);
-  auto got = plan->Run(d, index);
+  auto got = plan->Run(index);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, (std::vector<NodeId>{1, 3}));
 }
@@ -128,7 +128,7 @@ TEST(HybridTest, RandomTreesAgreeWithBaseline) {
     for (const char* q : {"//a//b", "//a//b//c", "//c//a"}) {
       auto plan = HybridPlan::Make(MustParse(q), d.alphabet_ptr().get());
       ASSERT_TRUE(plan.ok());
-      auto got = plan->Run(d, index);
+      auto got = plan->Run(index);
       ASSERT_TRUE(got.ok());
       auto expect = EvalNodeSetBaseline(q, d);
       ASSERT_TRUE(expect.ok());
@@ -146,7 +146,7 @@ TEST(HybridTest, Figure5ConfigurationsSelectExpectedCounts) {
                                  d.alphabet_ptr().get());
     ASSERT_TRUE(plan.ok());
     HybridStats stats;
-    auto got = plan->Run(d, index, &stats);
+    auto got = plan->Run(index, &stats);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(static_cast<int>(got->size()), Fig5ExpectedSelected(config))
         << Fig5ConfigName(config);

@@ -1,12 +1,13 @@
 // Cross-engine parity for value-predicate queries ([text()='v'],
 // [@attr='v'], [contains(...,'v')], and their boolean combinations): the
 // pointer baseline evaluates the original path natively (the oracle), while
-// the pointer, succinct, and reopened-image engines run the relaxed plan
-// plus the post-filter stage. All four must agree on every query, over a
-// deterministic random text-bearing corpus and an XMark instance. Also
-// covers the exists()/count() pushdown (visited-node counts must shrink
-// when the first verified hit ends the run) and the post-filter work
-// accounting surfaced through CursorStats.
+// the pointer, succinct, reopened-image and mixed (succinct index over a
+// kept Document) engines run the relaxed plan plus the post-filter stage.
+// All five must agree on every query, over a deterministic random
+// text-bearing corpus and an XMark instance. Also covers the
+// exists()/count() pushdown (visited-node counts must shrink when the
+// first verified hit ends the run) and the post-filter work accounting
+// surfaced through CursorStats.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
@@ -42,11 +43,14 @@ const EvalStrategy kStrategies[] = {
     EvalStrategy::kHybrid,
 };
 
-/// The four engine paths of the parity matrix, built from one XML string.
+/// The engine paths of the parity matrix, built from one XML string.
+/// `mixed` keeps the pointer Document next to a succinct index: its value
+/// filter navigates the succinct tree but reads values from the Document.
 struct EngineMatrix {
   Engine pointer;
   Engine succinct;
   Engine reopened;
+  Engine mixed;
 
   static EngineMatrix Build(const std::string& xml, const char* tag) {
     auto pointer = Engine::FromXmlString(xml, TreeBackend::kPointer);
@@ -57,8 +61,10 @@ struct EngineMatrix {
     EXPECT_TRUE(SaveIndexImage(*succinct, dir).ok());
     auto reopened = OpenIndexImage(dir);
     EXPECT_TRUE(reopened.ok()) << reopened.status();
+    Engine mixed =
+        Engine::FromDocument(pointer->document(), TreeBackend::kSuccinct);
     return EngineMatrix{std::move(*pointer), std::move(*succinct),
-                        std::move(*reopened)};
+                        std::move(*reopened), std::move(mixed)};
   }
 };
 
@@ -76,7 +82,8 @@ void CheckParity(const EngineMatrix& m, const std::string& query) {
     const char* name;
   } paths[] = {{&m.pointer, "pointer"},
                {&m.succinct, "succinct"},
-               {&m.reopened, "reopened"}};
+               {&m.reopened, "reopened"},
+               {&m.mixed, "mixed"}};
   for (const auto& p : paths) {
     for (const EvalStrategy strategy : kStrategies) {
       QueryOptions options;

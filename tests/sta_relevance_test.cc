@@ -71,7 +71,7 @@ TEST(TopDownJumpTest, VisitsExactlyRelevantOnPaperExample) {
   DocIds ids = IdsOf(d);
   Sta min = MinimizeTopDown(StaForDescADescB(ids.a, ids.b));
   TreeIndex index(d);
-  JumpRunResult jump = TopDownJumpRun(min, d, index);
+  JumpRunResult jump = TopDownJumpRun(min, index);
   StaRunResult full = TopDownRun(min, d);
   ASSERT_TRUE(jump.accepting);
   EXPECT_EQ(jump.visited, TopDownRelevantNodes(min, d, full.states));
@@ -91,7 +91,7 @@ TEST_P(JumpPropertyTest, Theorem31OnRandomTrees) {
   };
   for (const Sta& min : automata) {
     StaRunResult full = TopDownRun(min, d);
-    JumpRunResult jump = TopDownJumpRun(min, d, index);
+    JumpRunResult jump = TopDownJumpRun(min, index);
     ASSERT_EQ(jump.accepting, full.accepting);
     if (!full.accepting) {
       EXPECT_TRUE(jump.visited.empty());
@@ -121,7 +121,7 @@ TEST(TopDownJumpTest, RejectionReturnsEmptyMapping) {
   LabelId a = d.alphabet().Find("a");
   Sta min = MinimizeTopDown(StaDtdRootIsA(a));
   TreeIndex index(d);
-  JumpRunResult jump = TopDownJumpRun(min, d, index);
+  JumpRunResult jump = TopDownJumpRun(min, index);
   EXPECT_FALSE(jump.accepting);
   for (StateId q : jump.states) EXPECT_EQ(q, kNoState);
 }
@@ -138,7 +138,7 @@ TEST(TopDownJumpTest, JumpSkipsHugeIrrelevantRegions) {
   DocIds ids = IdsOf(d);
   Sta min = MinimizeTopDown(StaForDescADescB(ids.a, ids.b));
   TreeIndex index(d);
-  JumpRunResult jump = TopDownJumpRun(min, d, index);
+  JumpRunResult jump = TopDownJumpRun(min, index);
   ASSERT_TRUE(jump.accepting);
   EXPECT_EQ(jump.selected.size(), 2u);
   EXPECT_LT(jump.stats.nodes_visited, 10);

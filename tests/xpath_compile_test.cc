@@ -26,7 +26,7 @@ Asta Compile(std::string_view xpath, Alphabet* alphabet) {
 std::vector<NodeId> Eval(std::string_view xpath, const Document& doc) {
   Asta asta = Compile(xpath, doc.alphabet_ptr().get());
   TreeIndex index(doc);
-  return EvalAsta(asta, doc, &index).nodes;
+  return EvalAsta(asta, index).nodes;
 }
 
 TEST(CompileTest, Example41Structure) {
@@ -163,7 +163,7 @@ TEST(CompileTest, MatchesHandWrittenAstasOnRandomTrees) {
     LabelId b = d.alphabet().Find("b");
     Asta hand = testing_util::AstaForDescADescB(a, b);
     TreeIndex index(d);
-    AstaEvalResult hand_result = EvalAsta(hand, d, &index);
+    AstaEvalResult hand_result = EvalAsta(hand, index);
     EXPECT_EQ(Eval("//a//b", d), hand_result.nodes) << seed;
   }
 }
@@ -180,7 +180,7 @@ TEST(CompileTest, CompiledAutomataAgreeWithAstaOracle) {
     TreeIndex index(d);
     for (const char* q : queries) {
       Asta asta = Compile(q, d.alphabet_ptr().get());
-      AstaEvalResult got = EvalAsta(asta, d, &index);
+      AstaEvalResult got = EvalAsta(asta, index);
       EXPECT_EQ(got.nodes, AstaOracleSelect(asta, d)) << q << " seed " << seed;
     }
   }
@@ -196,7 +196,7 @@ TEST(CompileSuffixTest, SuffixSelectsWithinSubtree) {
   TreeIndex index(d);
   // Evaluate below kw (node 2): strict descendants = {em3}.
   AstaEvalResult r =
-      EvalAstaAt(*suffix, d, &index, d.BinaryLeft(2), AstaEvalOptions{});
+      EvalAstaAt(*suffix, index, d.BinaryLeft(2), AstaEvalOptions{});
   EXPECT_EQ(r.nodes, (std::vector<NodeId>{3}));
 }
 
