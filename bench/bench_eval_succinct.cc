@@ -188,7 +188,7 @@ int Run(bool quick, const std::string& out_path) {
           1000.0 * bench::BestOfMs(
                        [&] {
                          auto impl = internal::MakeCursorImpl(
-                             ctx, *prepared, opts, /*allow_streaming=*/true);
+                             ctx, *prepared, opts);
                          ResultCursor cursor(std::move(*impl));
                          head = cursor.Drain(k);
                          point.visited =
@@ -247,8 +247,7 @@ int Run(bool quick, const std::string& out_path) {
     std::vector<NodeId> got;
     row.full_ms = bench::BestOfMs(
         [&] {
-          auto impl = internal::MakeCursorImpl(ctx, *prepared, opts,
-                                               /*allow_streaming=*/true);
+          auto impl = internal::MakeCursorImpl(ctx, *prepared, opts);
           ResultCursor cursor(std::move(*impl));
           got = cursor.Drain();
           const CursorStats stats = cursor.TakeStats();
@@ -261,7 +260,7 @@ int Run(bool quick, const std::string& out_path) {
         1000.0 * bench::BestOfMs(
                      [&] {
                        auto impl = internal::MakeCursorImpl(
-                           ctx, *prepared, opts, /*allow_streaming=*/true);
+                           ctx, *prepared, opts);
                        ResultCursor cursor(std::move(*impl));
                        cursor.Drain(1);
                      },

@@ -164,11 +164,14 @@ grep -q "drained clean" build/xpathd.log
 # ASan/UBSan catch regressions in. The Persist* suites are the corruption
 # sweep: every byte of a saved image flipped, truncations at every section
 # boundary, structural faults behind valid checksums — all of it must fail
-# with clean Status objects and zero sanitizer reports.
+# with clean Status objects and zero sanitizer reports. Engine::Run drains
+# the same region and hybrid streams a cursor opens, so the Hybrid*,
+# CrossEngine* (seeded ones included) and StatsRegression* suites run here
+# too.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo -DXPWQO_SANITIZE=ON
 cmake --build build-asan -j"$(nproc)" --target xpwqo_tests
 ./build-asan/xpwqo_tests \
-  --gtest_filter='XmlParser*:XmlSerializer*:StreamingBuild*:StructuralScan*:BulkLoad*:TreeBuilder*:SuccinctTree*:Document*:LabelIndex*:PostingList*:ResultCursor*:PreparedQuery*:Collection*:Persist*:ExecMonitor*:ServingRuntime*:TextStore*:*PredicateParity*:PredicateQuery*:HttpCodec*:NetServer*'
+  --gtest_filter='XmlParser*:XmlSerializer*:StreamingBuild*:StructuralScan*:BulkLoad*:TreeBuilder*:SuccinctTree*:Document*:LabelIndex*:PostingList*:ResultCursor*:PreparedQuery*:Collection*:Persist*:ExecMonitor*:ServingRuntime*:TextStore*:*PredicateParity*:PredicateQuery*:HttpCodec*:NetServer*:Hybrid*:*CrossEngine*:StatsRegression*'
 
 # The same ingestion suites again with every SIMD path compiled out
 # (-DXPWQO_FORCE_SCALAR=ON drops the SSE4.2/AVX2/BMI2 gates): the scalar

@@ -14,7 +14,7 @@ namespace xpwqo {
 namespace internal {
 namespace {
 
-/// A fully-materialized result: one batch, classic Run semantics.
+/// A fully-materialized result: one EvalAsta run, emitted as one batch.
 class EagerImpl final : public CursorImpl {
  public:
   EagerImpl(std::vector<NodeId> nodes, CursorStats stats)
@@ -140,25 +140,16 @@ AstaEvalOptions EvalOptionsFor(const QueryOptions& options) {
 /// the verification stage (value_filter.cc).
 StatusOr<std::unique_ptr<CursorImpl>> MakeRelaxedImpl(
     const CursorContext& ctx, const PreparedQuery& query,
-    const QueryOptions& options, bool allow_streaming) {
+    const QueryOptions& options) {
   const TreeIndex& index = *ctx.index;
   if (options.strategy == EvalStrategy::kHybrid && query.hybrid() != nullptr) {
-    const HybridPlan& plan = *query.hybrid();
-    if (allow_streaming) {
-      return std::unique_ptr<CursorImpl>(
-          new HybridImpl(HybridStream(plan, index, options.control)));
-    }
-    CursorStats stats;
-    stats.used_hybrid = true;
-    XPWQO_ASSIGN_OR_RETURN(std::vector<NodeId> nodes,
-                           plan.Run(index, &stats.hybrid, options.control));
-    return std::unique_ptr<CursorImpl>(
-        new EagerImpl(std::move(nodes), std::move(stats)));
+    return std::unique_ptr<CursorImpl>(new HybridImpl(
+        HybridStream(*query.hybrid(), query.asta(), index, options.control)));
   }
 
   // Automaton strategies (and the hybrid fallback when no plan applies).
   const AstaEvalOptions eval = EvalOptionsFor(options);
-  if (allow_streaming && query.streamable() && eval.jumping) {
+  if (query.streamable() && eval.jumping) {
     return std::unique_ptr<CursorImpl>(
         new RegionImpl(AstaRegionStream(query.asta(), index, eval)));
   }
@@ -174,7 +165,7 @@ StatusOr<std::unique_ptr<CursorImpl>> MakeRelaxedImpl(
 
 StatusOr<std::unique_ptr<CursorImpl>> MakeCursorImpl(
     const CursorContext& ctx, const PreparedQuery& query,
-    const QueryOptions& options, bool allow_streaming) {
+    const QueryOptions& options) {
   if (options.strategy == EvalStrategy::kBaseline) {
     if (ctx.doc == nullptr) {
       return Status::InvalidArgument(
@@ -196,9 +187,8 @@ StatusOr<std::unique_ptr<CursorImpl>> MakeCursorImpl(
         "content layer (it was opened from a version-1, structural-only "
         "index image; re-save it to get a version-2 image with text)");
   }
-  XPWQO_ASSIGN_OR_RETURN(
-      std::unique_ptr<CursorImpl> impl,
-      MakeRelaxedImpl(ctx, query, options, allow_streaming));
+  XPWQO_ASSIGN_OR_RETURN(std::unique_ptr<CursorImpl> impl,
+                         MakeRelaxedImpl(ctx, query, options));
   if (query.has_value_predicates()) {
     // The plans above ran the structural relaxation; keep only candidates
     // the full path (value comparisons included) actually selects.

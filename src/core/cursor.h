@@ -75,14 +75,15 @@ struct CursorContext {
   const Document* doc = nullptr;
 };
 
-/// Builds the producer for (query, options) over `ctx`. With
-/// `allow_streaming` false every strategy runs eagerly at construction
-/// (exactly the classic Engine::Run evaluation); with true the
-/// streaming-capable plans defer work to NextBatch. Fails like Engine::Run
-/// (e.g. baseline without a pointer Document).
+/// Builds the one producer for (query, options) over `ctx`, which both
+/// OpenCursor and Engine::Run drain: a lazy mask scan for the baseline, a
+/// HybridStream for kHybrid with a plan, an AstaRegionStream for a
+/// streamable query under a jumping strategy, and otherwise one EvalAsta
+/// run at construction. Fails like Engine::Run (e.g. baseline without a
+/// pointer Document).
 StatusOr<std::unique_ptr<CursorImpl>> MakeCursorImpl(
     const CursorContext& ctx, const PreparedQuery& query,
-    const QueryOptions& options, bool allow_streaming);
+    const QueryOptions& options);
 
 }  // namespace internal
 

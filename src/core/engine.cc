@@ -248,8 +248,8 @@ StatusOr<ResultCursor> Engine::OpenCursor(const PreparedQuery& query,
                          Bind(query));
   XPWQO_ASSIGN_OR_RETURN(
       std::unique_ptr<internal::CursorImpl> impl,
-      internal::MakeCursorImpl(Context(), rebound ? *rebound : query, options,
-                               /*allow_streaming=*/true));
+      internal::MakeCursorImpl(Context(), rebound ? *rebound : query,
+                               options));
   return ResultCursor(std::move(impl), std::move(rebound), 0,
                       options.control);
 }
@@ -272,8 +272,7 @@ StatusOr<ResultCursor> Engine::OpenCursor(
   if (rebound != nullptr) query = std::move(rebound);
   XPWQO_ASSIGN_OR_RETURN(
       std::unique_ptr<internal::CursorImpl> impl,
-      internal::MakeCursorImpl(Context(), *query, options,
-                               /*allow_streaming=*/true));
+      internal::MakeCursorImpl(Context(), *query, options));
   return ResultCursor(std::move(impl), std::move(query), cache_->hits(),
                       options.control);
 }
@@ -282,16 +281,17 @@ StatusOr<QueryResult> Engine::Run(const PreparedQuery& query,
                                   const QueryOptions& options) const {
   XPWQO_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> rebound,
                          Bind(query));
-  // Run is "drain the cursor" with streaming off: every strategy executes
-  // its classic one-shot evaluation, so results, statistics and performance
-  // are identical to the pre-cursor API.
+  // Run drains the producer OpenCursor opens. The cursor itself gets no
+  // control, so returned nodes are not charged a second time; a governed
+  // producer that stopped reports why through status().
   XPWQO_ASSIGN_OR_RETURN(
       std::unique_ptr<internal::CursorImpl> impl,
-      internal::MakeCursorImpl(Context(), rebound ? *rebound : query, options,
-                               /*allow_streaming=*/false));
+      internal::MakeCursorImpl(Context(), rebound ? *rebound : query,
+                               options));
   ResultCursor cursor(std::move(impl));
   QueryResult out;
   out.nodes = cursor.Drain();
+  XPWQO_RETURN_IF_ERROR(cursor.status());
   const CursorStats stats = cursor.TakeStats();
   out.stats = stats.eval;
   out.hybrid = stats.hybrid;

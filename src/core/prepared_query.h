@@ -48,6 +48,8 @@ class PreparedQuery {
   /// [@attr='v'], [contains(...,'v')]) anywhere, so evaluation needs the
   /// post-filter stage (and a content source: Document or TextStore).
   bool has_value_predicates() const { return has_value_predicates_; }
+  /// The automaton of relaxed_path(): every Figure-4 strategy runs it, and
+  /// so does the hybrid stream when its pivot is the first step.
   const Asta& asta() const { return asta_; }
   /// Start-anywhere plan, or null when the path is not a //-chain.
   const HybridPlan* hybrid() const { return hybrid_.get(); }

@@ -3,10 +3,10 @@
 // from them (d_t to find the first, f_t to step over binary subtrees).
 //
 // The index is the tree as the evaluators see it: every evaluator entry
-// point (EvalAsta, AstaRegionStream, HybridPlan, HybridStream,
-// TopDownJumpRun, the cursor's value filter) takes one `const TreeIndex&`,
-// and the index picks the backend — the pointer-based Document or the
-// SuccinctTree it was constructed over. Callers never pass the tree beside
+// point (EvalAsta, AstaRegionStream, HybridStream, TopDownJumpRun, the
+// cursor's value filter) takes one `const TreeIndex&`, and the index picks
+// the backend — the pointer-based Document or the SuccinctTree it was
+// constructed over. Callers never pass the tree beside
 // it. Node identifiers are preorder ranks in both, so the posting lists are
 // identical; only the navigation primitives (BinaryEnd/XmlEnd/parent/
 // first_child) differ — O(1) array reads on the pointer backend,

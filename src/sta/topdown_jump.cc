@@ -70,7 +70,6 @@ class JumpRunner {
       : sta_(sta),
         doc_(doc),
         index_(index),
-        options_(options),
         infos_(ClassifyStates(sta)),
         sink_(FindTopDownSink(sta)),
         monitor_(options.control) {}
@@ -82,17 +81,10 @@ class JumpRunner {
     result_ = &out;
     failed_ = false;
     // relevant_nodes at the root, then depth-first; the explicit stack holds
-    // pending (node, state) visits in reverse document order. Visits pop in
-    // document order, so the selected list grows in document order and the
-    // max_selected cut keeps exactly the first k selections of the run.
+    // pending (node, state) visits in reverse document order, so visits pop
+    // in document order.
     EnterChild(doc_.root(), sta_.tops()[0]);
     while (!stack_.empty() && !failed_) {
-      if (options_.max_selected >= 0 &&
-          static_cast<int64_t>(out.selected.size()) >=
-              options_.max_selected) {
-        out.truncated = true;
-        break;
-      }
       auto [n, q] = stack_.back();
       stack_.pop_back();
       Visit(n, q);
@@ -207,7 +199,6 @@ class JumpRunner {
   const Sta& sta_;
   const TreeView doc_;
   const TreeIndex& index_;
-  JumpRunOptions options_;
   std::vector<StateJumpInfo> infos_;
   StateId sink_;
   std::vector<std::pair<NodeId, StateId>> stack_;

@@ -34,16 +34,8 @@ struct JumpRunStats {
   int64_t jumps = 0;
 };
 
-/// Early-termination controls for a jumping run.
+/// Governance of a jumping run.
 struct JumpRunOptions {
-  /// Stop the run once this many selected nodes have been found (< 0: run
-  /// to completion). The jumping drive visits candidates in document order,
-  /// so on an accepting run the truncated `selected` is exactly the first k
-  /// of the full run — the LIMIT-k path. Truncation skips the acceptance
-  /// check of the rest of the tree, so it is only meaningful for automata
-  /// that accept every tree (XPath selection compilations do: a selection
-  /// query never rejects a document, it selects an empty set).
-  int64_t max_selected = -1;
   /// Deadline / cancellation / visited-node budget, or null for ungoverned
   /// runs. On a trip the run stops and JumpRunResult::interrupt carries the
   /// code; the partial run is garbage and must be discarded.
@@ -54,9 +46,6 @@ struct JumpRunOptions {
 /// kNoState for skipped ones.
 struct JumpRunResult {
   bool accepting = false;
-  /// True when the run stopped at JumpRunOptions::max_selected before
-  /// draining its work list (acceptance of the remainder is assumed).
-  bool truncated = false;
   std::vector<StateId> states;
   std::vector<NodeId> visited;   // document order
   std::vector<NodeId> selected;  // document order

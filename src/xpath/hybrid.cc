@@ -27,7 +27,6 @@ StatusOr<HybridPlan> HybridPlan::Make(const Path& path,
   for (const Step& step : path.steps) {
     plan.labels_.push_back(alphabet->Find(step.test.name));
   }
-  XPWQO_ASSIGN_OR_RETURN(plan.full_asta_, CompileToAsta(path, alphabet));
   plan.suffix_astas_.resize(path.steps.size());
   for (size_t p = 1; p + 1 < path.steps.size(); ++p) {
     XPWQO_ASSIGN_OR_RETURN(plan.suffix_astas_[p],
@@ -38,8 +37,7 @@ StatusOr<HybridPlan> HybridPlan::Make(const Path& path,
 
 namespace {
 
-/// Pivot choice shared by the eager and streaming drivers: the step with
-/// the rarest label (earliest wins ties).
+/// Pivot choice: the step with the rarest label (earliest wins ties).
 size_t PickPivot(const std::vector<LabelId>& labels, const TreeIndex& index) {
   size_t pivot = 0;
   for (size_t i = 1; i < labels.size(); ++i) {
@@ -48,9 +46,9 @@ size_t PickPivot(const std::vector<LabelId>& labels, const TreeIndex& index) {
   return pivot;
 }
 
-/// Upward prefix check shared by both drivers: matches //l_{pivot-1}/.../l1
-/// as an ancestor subsequence, greedily from the candidate up (pure parent
-/// moves, like the paper). Counts each step into `nodes_visited`.
+/// Upward prefix check: matches //l_{pivot-1}/.../l1 as an ancestor
+/// subsequence, greedily from the candidate up (pure parent moves, like the
+/// paper). Counts each step into `nodes_visited`.
 bool PrefixMatches(const TreeIndex& index, const std::vector<LabelId>& labels,
                    size_t pivot, NodeId candidate, int64_t* nodes_visited) {
   size_t need = pivot;  // labels[need-1] is the next one to find
@@ -64,97 +62,11 @@ bool PrefixMatches(const TreeIndex& index, const std::vector<LabelId>& labels,
 
 }  // namespace
 
-StatusOr<std::vector<NodeId>> HybridPlan::Run(
-    const TreeIndex& index, HybridStats* stats,
-    const ExecControl* control) const {
-  const size_t k = labels_.size();
-  const size_t pivot = PickPivot(labels_, index);
-  HybridStats local;
-  HybridStats* st = stats != nullptr ? stats : &local;
-  st->pivot = static_cast<int>(pivot);
-  st->pivot_count = index.Count(labels_[pivot]);
-  st->nodes_visited = 0;
-
-  AstaEvalOptions opts;  // jumping + memoization + info propagation
-  if (pivot == 0) {
-    // The first label is the rarest: start anywhere degenerates to the
-    // regular run from the pivot occurrences downward — which is the plain
-    // top-down evaluation.
-    opts.control = control;
-    AstaEvalResult r = EvalAsta(full_asta_, index, opts);
-    st->nodes_visited = r.stats.nodes_visited;
-    if (r.interrupt != StatusCode::kOk) return InterruptToStatus(r.interrupt);
-    return std::move(r.nodes);
-  }
-
-  // Governance of the candidate loop: the monitor covers deadline and
-  // cancellation at one charge per candidate (the ancestor walk is bounded
-  // by the document depth, and the suffix runs carry their own checks via
-  // `sub_control`); the visited-node budget is enforced exactly against
-  // st->nodes_visited, with the remainder handed to each suffix run.
-  const int64_t budget = control != nullptr ? control->max_visited : -1;
-  ExecControl cand_control;
-  ExecControl sub_control;
-  ExecMonitor monitor;
-  if (control != nullptr) {
-    cand_control = *control;
-    cand_control.max_visited = -1;
-    monitor.Reset(&cand_control);
-    sub_control = *control;
-  }
-
-  std::vector<NodeId> out;
-  const bool pivot_is_last = pivot + 1 == k;
-  // Stream the pivot label's compressed postings in document order; the
-  // cursor decodes one delta block at a time instead of materializing the
-  // whole list.
-  PostingList::Cursor pivot_cursor(index.labels().Postings(labels_[pivot]));
-  for (NodeId c = pivot_cursor.SeekGE(0); c != kNullNode;
-       c = pivot_cursor.SeekGE(c + 1)) {
-    ++st->nodes_visited;  // the candidate itself
-    if (control != nullptr) {
-      if (monitor.Charge()) return monitor.ToStatus();
-      if (budget >= 0 && st->nodes_visited >= budget) {
-        return InterruptToStatus(StatusCode::kResourceExhausted);
-      }
-    }
-    if (!PrefixMatches(index, labels_, pivot, c, &st->nodes_visited)) continue;
-    if (pivot_is_last) {
-      out.push_back(c);
-      continue;
-    }
-    // Downward: evaluate the suffix over the candidate's strict
-    // descendants (binary subtree of its first child).
-    NodeId below = index.FirstChild(c);
-    if (below == kNullNode) continue;
-    if (control != nullptr) {
-      if (budget >= 0) {
-        const int64_t left = budget - st->nodes_visited;
-        if (left <= 0) {
-          return InterruptToStatus(StatusCode::kResourceExhausted);
-        }
-        sub_control.max_visited = left;
-      }
-      opts.control = &sub_control;
-    }
-    AstaEvalResult sub = EvalAstaAt(suffix_astas_[pivot], index, below, opts);
-    st->nodes_visited += sub.stats.nodes_visited;
-    if (sub.interrupt != StatusCode::kOk) {
-      return InterruptToStatus(sub.interrupt);
-    }
-    out.insert(out.end(), sub.nodes.begin(), sub.nodes.end());
-  }
-  // Nested pivots can produce duplicates and out-of-order runs.
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
-}
-
 // ---------------------------------------------------------------------------
-// HybridStream: the same plan, driven candidate by candidate.
+// HybridStream: the plan, evaluated candidate by candidate.
 
 struct HybridStream::Impl {
-  Impl(const HybridPlan& plan, const TreeIndex& index,
+  Impl(const HybridPlan& plan, const Asta& full, const TreeIndex& index,
        const ExecControl* control)
       : plan_(&plan), index_(&index) {
     const std::vector<LabelId>& labels = plan.labels();
@@ -165,9 +77,10 @@ struct HybridStream::Impl {
     pivot_ = pivot;
     pivot_is_last_ = pivot + 1 == k;
     if (control != nullptr) {
-      // Same split as the eager driver: deadline + cancellation amortized
-      // at one charge per candidate, budget enforced exactly against
-      // stats_.nodes_visited with the remainder handed to suffix runs.
+      // Deadline + cancellation amortized at one charge per candidate (the
+      // ancestor walk is bounded by the document depth, and the suffix runs
+      // carry their own checks); the budget is enforced exactly against
+      // stats_.nodes_visited, with the remainder handed to suffix runs.
       governed_ = true;
       budget_ = control->max_visited;
       cand_control_ = *control;
@@ -183,7 +96,7 @@ struct HybridStream::Impl {
       // region stream takes the whole control, budget included.
       AstaEvalOptions full_opts = opts_;
       full_opts.control = control;
-      full_.emplace(plan.full_asta(), index, full_opts);
+      full_.emplace(full, index, full_opts);
       return;
     }
     pivot_cursor_ = PostingList::Cursor(index.labels().Postings(labels[pivot]));
@@ -281,9 +194,9 @@ struct HybridStream::Impl {
   HybridStats stats_;
 };
 
-HybridStream::HybridStream(const HybridPlan& plan, const TreeIndex& index,
-                           const ExecControl* control)
-    : impl_(std::make_unique<Impl>(plan, index, control)) {}
+HybridStream::HybridStream(const HybridPlan& plan, const Asta& full,
+                           const TreeIndex& index, const ExecControl* control)
+    : impl_(std::make_unique<Impl>(plan, full, index, control)) {}
 
 HybridStream::HybridStream(HybridStream&&) noexcept = default;
 HybridStream& HybridStream::operator=(HybridStream&&) noexcept = default;

@@ -9,9 +9,10 @@
 // Like the paper's engine, the upward part uses parent moves (our index has
 // no labeled-ancestor jumps either, §5 "Implementation").
 //
-// Both drivers see the document only through its TreeIndex: callers pass
-// the index, and the index picks the backend. The candidate loop calls the
-// index's navigation directly; the suffix runs go through EvalAstaAt.
+// The plan runs only as a HybridStream, which sees the document only
+// through its TreeIndex: callers pass the index, and the index picks the
+// backend. The candidate loop calls the index's navigation directly; the
+// suffix runs go through EvalAstaAt.
 #ifndef XPWQO_XPATH_HYBRID_H_
 #define XPWQO_XPATH_HYBRID_H_
 
@@ -38,7 +39,9 @@ struct HybridStats {
   int64_t nodes_visited = 0;
 };
 
-/// A reusable hybrid plan (pivot choice is per-document).
+/// A reusable hybrid plan (pivot choice is per-document). The whole-chain
+/// automaton is not part of the plan: the pivot-0 degeneration runs the
+/// caller's, which PreparedQuery compiles anyway.
 class HybridPlan {
  public:
   /// Builds a plan. Fails if the path shape is not hybrid-evaluable.
@@ -47,21 +50,11 @@ class HybridPlan {
   static StatusOr<HybridPlan> Make(const Path& path,
                                    const Alphabet* alphabet);
 
-  /// Runs the plan. Results are sorted and duplicate-free. With a non-null
-  /// `control`, the run stops early on deadline / cancellation / budget and
-  /// returns the corresponding error Status (kDeadlineExceeded /
-  /// kCancelled / kResourceExhausted).
-  StatusOr<std::vector<NodeId>> Run(const TreeIndex& index,
-                                    HybridStats* stats = nullptr,
-                                    const ExecControl* control = nullptr) const;
-
   /// The chain's labels, one per step (read-only plan introspection; the
-  /// streaming cursor drives the pivot enumeration through these).
+  /// stream drives the pivot enumeration through these).
   const std::vector<LabelId>& labels() const { return labels_; }
-  /// The whole-chain automaton (the pivot == 0 degenerate case).
-  const Asta& full_asta() const { return full_asta_; }
   /// The suffix automaton below pivot `p`. Requires 0 < p < labels().size()
-  /// - 1 (the last step has no suffix; pivot 0 uses full_asta()).
+  /// - 1 (the last step has no suffix; pivot 0 runs the whole chain).
   const Asta& suffix_asta(size_t p) const { return suffix_astas_[p]; }
 
  private:
@@ -72,7 +65,6 @@ class HybridPlan {
   /// p is the last step). Built lazily-eagerly for every possible pivot so
   /// a plan works across documents with different counts.
   std::vector<Asta> suffix_astas_;
-  Asta full_asta_;  // for the pivot == 0 fallback
 };
 
 /// Pull-based drive of a HybridPlan: pivot occurrences stream from the
@@ -86,14 +78,17 @@ class HybridPlan {
 /// candidate is itself a match and streams on its own).
 ///
 /// When the pivot degenerates to step 0 the stream delegates to an
-/// AstaRegionStream over the full-chain automaton.
+/// AstaRegionStream over the full-chain automaton `full`, compiled from the
+/// same path as `plan` (PreparedQuery::asta()).
 class HybridStream {
  public:
-  /// `control` (optional) governs the pull: candidates charge the monitor
-  /// and suffix evaluations run under the remaining budget. Must outlive
-  /// the stream, as must `plan` and `index`.
-  HybridStream(const HybridPlan& plan, const TreeIndex& index,
-               const ExecControl* control = nullptr);
+  /// `control` (optional) governs the pull: deadline and cancellation are
+  /// checked at one charge per candidate, the visited-node budget is
+  /// enforced exactly against stats().nodes_visited, and each suffix
+  /// evaluation runs under the remaining budget. Must outlive the stream,
+  /// as must `plan`, `full` and `index`.
+  HybridStream(const HybridPlan& plan, const Asta& full,
+               const TreeIndex& index, const ExecControl* control = nullptr);
   HybridStream(HybridStream&&) noexcept;
   HybridStream& operator=(HybridStream&&) noexcept;
   ~HybridStream();

@@ -37,6 +37,19 @@ using testing_util::QueryGenOptions;
 using testing_util::RandomQuery;
 using testing_util::RandomTree;
 
+/// Drains a HybridStream to completion, as a kHybrid cursor does; `full` is
+/// the whole-chain automaton the pivot-0 degeneration runs.
+StatusOr<std::vector<NodeId>> DrainHybrid(const HybridPlan& plan,
+                                          const Asta& full,
+                                          const TreeIndex& index) {
+  HybridStream stream(plan, full, index);
+  std::vector<NodeId> out;
+  while (stream.NextBatch(&out)) {
+  }
+  XPWQO_RETURN_IF_ERROR(InterruptToStatus(stream.interrupt()));
+  return out;
+}
+
 /// Cursor-vs-Run parity over one backend context: the full drain must equal
 /// the classic result and a truncated drain must be its document-order
 /// prefix, for every strategy the context supports.
@@ -52,16 +65,14 @@ void CheckCursors(const internal::CursorContext& ctx,
     if (s == EvalStrategy::kBaseline && ctx.doc == nullptr) continue;
     QueryOptions opts;
     opts.strategy = s;
-    auto full_impl = internal::MakeCursorImpl(ctx, query, opts,
-                                              /*allow_streaming=*/true);
+    auto full_impl = internal::MakeCursorImpl(ctx, query, opts);
     ASSERT_TRUE(full_impl.ok()) << backend << " " << EvalStrategyName(s);
     ResultCursor full(std::move(*full_impl));
     ASSERT_EQ(full.Drain(), expect)
         << backend << " cursor " << EvalStrategyName(s);
 
     const size_t k = std::min<size_t>(3, expect.size() + 1);
-    auto head_impl = internal::MakeCursorImpl(ctx, query, opts,
-                                              /*allow_streaming=*/true);
+    auto head_impl = internal::MakeCursorImpl(ctx, query, opts);
     ASSERT_TRUE(head_impl.ok());
     ResultCursor head(std::move(*head_impl));
     std::vector<NodeId> first = head.Drain(k);
@@ -71,8 +82,7 @@ void CheckCursors(const internal::CursorContext& ctx,
 
     if (!expect.empty()) {
       const NodeId target = expect[expect.size() / 2];
-      auto seek_impl = internal::MakeCursorImpl(ctx, query, opts,
-                                                /*allow_streaming=*/true);
+      auto seek_impl = internal::MakeCursorImpl(ctx, query, opts);
       ASSERT_TRUE(seek_impl.ok());
       ResultCursor seek(std::move(*seek_impl));
       ASSERT_EQ(seek.SeekGe(target), target)
@@ -126,10 +136,10 @@ void CheckAllEngines(const Document& doc, const std::string& query) {
     auto plan = HybridPlan::Make(plan_path, doc.alphabet_ptr().get());
     ASSERT_TRUE(plan.ok());
     EXPECT_EQ(doc.alphabet().size(), labels) << "HybridPlan::Make wrote it";
-    auto hybrid = plan->Run(index);
+    auto hybrid = DrainHybrid(*plan, *asta, index);
     ASSERT_TRUE(hybrid.ok());
     ASSERT_EQ(*hybrid, *plan_expect) << "hybrid";
-    auto succinct_hybrid = plan->Run(succinct_index);
+    auto succinct_hybrid = DrainHybrid(*plan, *asta, succinct_index);
     ASSERT_TRUE(succinct_hybrid.ok());
     ASSERT_EQ(*succinct_hybrid, *plan_expect) << "succinct hybrid";
   }
@@ -145,18 +155,6 @@ void CheckAllEngines(const Document& doc, const std::string& query) {
     ASSERT_EQ(jump.selected, *plan_expect) << "tdsta jumping run";
     JumpRunResult sjump = TopDownJumpRun(minimal, succinct_index);
     ASSERT_EQ(sjump.selected, *plan_expect) << "tdsta succinct jumping run";
-    if (jump.accepting) {
-      // LIMIT-k truncation: the early-stopped run must agree with the full
-      // run's document-order prefix (meaningful on accepting runs only).
-      JumpRunOptions limit;
-      limit.max_selected = 2;
-      JumpRunResult head = TopDownJumpRun(minimal, index, limit);
-      ASSERT_EQ(head.selected.size(),
-                std::min<size_t>(2, plan_expect->size()));
-      ASSERT_TRUE(std::equal(head.selected.begin(), head.selected.end(),
-                             plan_expect->begin()))
-          << "tdsta truncated jumping run";
-    }
   }
 
   // The serving surface: cursors over every strategy, on both backends.

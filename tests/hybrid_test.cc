@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+
 #include "baseline/nodeset_eval.h"
+#include "core/cursor.h"
 #include "test_util.h"
 #include "xmark/fig5_configs.h"
+#include "xmark/generator.h"
+#include "xpath/compile.h"
 #include "xpath/parser.h"
 
 namespace xpwqo {
@@ -19,6 +25,27 @@ Path MustParse(std::string_view s) {
   return std::move(p).value();
 }
 
+/// Plans `query` over `d` and drains its HybridStream to completion, as a
+/// kHybrid cursor does: the plan and the full-chain automaton compile from
+/// the same path, like PreparedQuery's. The answer is in document order.
+StatusOr<std::vector<NodeId>> RunHybrid(std::string_view query,
+                                        const Document& d,
+                                        const TreeIndex& index,
+                                        HybridStats* stats = nullptr) {
+  const Path path = MustParse(query);
+  XPWQO_ASSIGN_OR_RETURN(HybridPlan plan,
+                         HybridPlan::Make(path, d.alphabet_ptr().get()));
+  XPWQO_ASSIGN_OR_RETURN(Asta full,
+                         CompileToAsta(path, d.alphabet_ptr().get()));
+  HybridStream stream(plan, full, index);
+  std::vector<NodeId> out;
+  while (stream.NextBatch(&out)) {
+  }
+  if (stats != nullptr) *stats = stream.stats();
+  XPWQO_RETURN_IF_ERROR(InterruptToStatus(stream.interrupt()));
+  return out;
+}
+
 TEST(HybridTest, ApplicabilityCheck) {
   EXPECT_TRUE(IsHybridEvaluable(MustParse("//a//b//c")));
   EXPECT_TRUE(IsHybridEvaluable(MustParse("//a")));
@@ -29,11 +56,8 @@ TEST(HybridTest, ApplicabilityCheck) {
 
 TEST(HybridTest, AgreesWithBaselineOnSmallTrees) {
   Document d = TreeOf("r(li(kw(em),kw),li(x(kw(x(em)))),em,kw(em))");
-  auto plan = HybridPlan::Make(MustParse("//li//kw//em"),
-                               d.alphabet_ptr().get());
-  ASSERT_TRUE(plan.ok()) << plan.status();
   TreeIndex index(d);
-  auto got = plan->Run(index);
+  auto got = RunHybrid("//li//kw//em", d, index);
   ASSERT_TRUE(got.ok());
   auto expect = EvalNodeSetBaseline("//li//kw//em", d);
   ASSERT_TRUE(expect.ok());
@@ -43,11 +67,8 @@ TEST(HybridTest, AgreesWithBaselineOnSmallTrees) {
 TEST(HybridTest, NestedPivotsDeduplicate) {
   // kw below kw: suffix matches from both pivots must deduplicate.
   Document d = TreeOf("r(li(kw(kw(em))))");
-  auto plan =
-      HybridPlan::Make(MustParse("//li//kw//em"), d.alphabet_ptr().get());
-  ASSERT_TRUE(plan.ok());
   TreeIndex index(d);
-  auto got = plan->Run(index);
+  auto got = RunHybrid("//li//kw//em", d, index);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, (std::vector<NodeId>{4}));
 }
@@ -58,12 +79,9 @@ TEST(HybridTest, PivotSelectionPicksRarestLabel) {
   for (int i = 0; i < 50; ++i) spec += "li,";
   spec += "li(kw(em)))";
   Document d = TreeOf(spec);
-  auto plan =
-      HybridPlan::Make(MustParse("//li//kw//em"), d.alphabet_ptr().get());
-  ASSERT_TRUE(plan.ok());
   TreeIndex index(d);
   HybridStats stats;
-  auto got = plan->Run(index, &stats);
+  auto got = RunHybrid("//li//kw//em", d, index, &stats);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(stats.pivot, 1);
   EXPECT_EQ(stats.pivot_count, 1);
@@ -81,12 +99,9 @@ TEST(HybridTest, LastLabelPivotIsPureBottomUp) {
   for (int i = 0; i < 30; ++i) spec += "li(kw),";
   spec += "li(kw(em)),em)";
   Document d = TreeOf(spec);
-  auto plan =
-      HybridPlan::Make(MustParse("//li//kw//em"), d.alphabet_ptr().get());
-  ASSERT_TRUE(plan.ok());
   TreeIndex index(d);
   HybridStats stats;
-  auto got = plan->Run(index, &stats);
+  auto got = RunHybrid("//li//kw//em", d, index, &stats);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(stats.pivot, 2);
   ASSERT_EQ(got->size(), 1u);
@@ -100,12 +115,9 @@ TEST(HybridTest, FirstLabelPivotFallsBackToRegular) {
   for (int i = 0; i < 20; ++i) spec += ",kw(em)";
   spec += ")";
   Document d = TreeOf(spec);
-  auto plan =
-      HybridPlan::Make(MustParse("//li//kw//em"), d.alphabet_ptr().get());
-  ASSERT_TRUE(plan.ok());
   TreeIndex index(d);
   HybridStats stats;
-  auto got = plan->Run(index, &stats);
+  auto got = RunHybrid("//li//kw//em", d, index, &stats);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(stats.pivot, 0);
   EXPECT_EQ(*got, (std::vector<NodeId>{3}));
@@ -113,10 +125,8 @@ TEST(HybridTest, FirstLabelPivotFallsBackToRegular) {
 
 TEST(HybridTest, SingleStepQuery) {
   Document d = TreeOf("r(a,b(a))");
-  auto plan = HybridPlan::Make(MustParse("//a"), d.alphabet_ptr().get());
-  ASSERT_TRUE(plan.ok());
   TreeIndex index(d);
-  auto got = plan->Run(index);
+  auto got = RunHybrid("//a", d, index);
   ASSERT_TRUE(got.ok());
   EXPECT_EQ(*got, (std::vector<NodeId>{1, 3}));
 }
@@ -126,9 +136,7 @@ TEST(HybridTest, RandomTreesAgreeWithBaseline) {
     Document d = RandomTree(seed, {.num_nodes = 200, .num_labels = 3});
     TreeIndex index(d);
     for (const char* q : {"//a//b", "//a//b//c", "//c//a"}) {
-      auto plan = HybridPlan::Make(MustParse(q), d.alphabet_ptr().get());
-      ASSERT_TRUE(plan.ok());
-      auto got = plan->Run(index);
+      auto got = RunHybrid(q, d, index);
       ASSERT_TRUE(got.ok());
       auto expect = EvalNodeSetBaseline(q, d);
       ASSERT_TRUE(expect.ok());
@@ -142,14 +150,81 @@ TEST(HybridTest, Figure5ConfigurationsSelectExpectedCounts) {
                             Fig5Config::kD}) {
     Document d = BuildFig5Config(config);
     TreeIndex index(d);
-    auto plan = HybridPlan::Make(MustParse("//listitem//keyword//emph"),
-                                 d.alphabet_ptr().get());
-    ASSERT_TRUE(plan.ok());
-    HybridStats stats;
-    auto got = plan->Run(index, &stats);
+    auto got = RunHybrid("//listitem//keyword//emph", d, index);
     ASSERT_TRUE(got.ok());
     EXPECT_EQ(static_cast<int>(got->size()), Fig5ExpectedSelected(config))
         << Fig5ConfigName(config);
+  }
+}
+
+TEST(HybridTest, GovernedCursorStopsAfterAPrefix) {
+  // HybridStream holds the only copy of the candidate/suffix budget split.
+  // A governed kHybrid cursor must stop with the limit's code, within one
+  // check interval of its budget, after returning a prefix of the answer.
+  // The cursor is built the way Engine::Run builds it (no control of its
+  // own), so every stop comes from the stream.
+  XMarkOptions xmark;
+  xmark.scale = 0.004;
+  struct Case {
+    const char* name;
+    Document doc;
+    const char* query;
+    int pivot;  // -1: whatever the document's counts pick
+  };
+  Case cases[] = {
+      {"fig5 A", BuildFig5Config(Fig5Config::kA), "//listitem//keyword//emph",
+       1},
+      {"fig5 C", BuildFig5Config(Fig5Config::kC), "//listitem//keyword//emph",
+       0},
+      {"xmark", GenerateXMark(xmark), "//listitem//keyword", -1},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    TreeIndex index(c.doc);
+    const internal::CursorContext ctx{&index, nullptr, &c.doc};
+    auto query = PreparedQuery::Prepare(c.query, c.doc.alphabet_ptr());
+    ASSERT_TRUE(query.ok()) << query.status();
+    auto open = [&](const ExecControl* control) {
+      QueryOptions opts;
+      opts.strategy = EvalStrategy::kHybrid;
+      opts.control = control;
+      auto impl = internal::MakeCursorImpl(ctx, *query, opts);
+      EXPECT_TRUE(impl.ok()) << impl.status();
+      return ResultCursor(std::move(*impl));
+    };
+    auto is_prefix = [](const std::vector<NodeId>& head,
+                        const std::vector<NodeId>& all) {
+      return head.size() <= all.size() &&
+             std::equal(head.begin(), head.end(), all.begin());
+    };
+
+    ResultCursor ungoverned = open(nullptr);
+    const std::vector<NodeId> answer = ungoverned.Drain();
+    ASSERT_TRUE(ungoverned.status().ok());
+    const HybridStats full = ungoverned.TakeStats().hybrid;
+    if (c.pivot >= 0) EXPECT_EQ(full.pivot, c.pivot);
+    ASSERT_GT(full.nodes_visited, 1);
+
+    ExecControl budget;
+    budget.max_visited = full.nodes_visited / 2;
+    ResultCursor limited = open(&budget);
+    const std::vector<NodeId> head = limited.Drain();
+    EXPECT_EQ(limited.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_LE(limited.TakeStats().hybrid.nodes_visited,
+              budget.max_visited + ExecControl::kDefaultCheckInterval);
+    EXPECT_TRUE(is_prefix(head, answer));
+
+    // An already-set cancel flag; checking at every charge makes the stream
+    // see it at its first candidate (pivot > 0) or visited node (pivot 0).
+    const std::atomic<bool> cancel{true};
+    ExecControl cancellable;
+    cancellable.cancel = &cancel;
+    cancellable.check_interval = 1;
+    ResultCursor cancelled = open(&cancellable);
+    const std::vector<NodeId> got = cancelled.Drain();
+    EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
+    EXPECT_LT(got.size(), answer.size());
+    EXPECT_TRUE(is_prefix(got, answer));
   }
 }
 
