@@ -3,13 +3,17 @@
 // document over the succinct backend with jumping off vs. on (both through
 // the memoized ASTA evaluator), and the jumping+memoized (opt) evaluator on
 // the succinct vs. the pointer backend. All three configurations must select
-// identical node sets; a mismatch fails the run.
+// identical node sets; a mismatch fails the run. It also reports the
+// LIMIT-k and value-predicate cursor series, and governance_overhead_pct:
+// what one query countdown (an ExecControl with no active limit) costs a
+// full cursor drain of //listitem//keyword.
 //
 // Usage: bench_eval_succinct [--quick] [--out PATH]
 //   --quick  small document + fewer repeats (CI smoke run)
 //   --out    where to write the JSON report (default BENCH_eval_succinct.json)
 // XPWQO_SCALE overrides the document scale (default 0.2).
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -24,6 +28,7 @@
 #include "index/succinct_tree.h"
 #include "index/text_store.h"
 #include "index/tree_index.h"
+#include "util/exec_control.h"
 #include "util/strings.h"
 #include "xmark/generator.h"
 #include "xmark/workload.h"
@@ -54,6 +59,13 @@ struct LimitSeriesRow {
   bool prefix_ok = true;  // truncated drains are prefixes of the full run
   LimitPoint points[3];
 };
+
+/// Median of `v` (upper median for an even count); 0 when empty.
+double Median(std::vector<double> v) {
+  if (v.empty()) return 0;
+  std::nth_element(v.begin(), v.begin() + v.size() / 2, v.end());
+  return v[v.size() / 2];
+}
 
 /// The content-layer series: value-predicate queries evaluated as a
 /// relaxed structural plan plus the TextStore-backed post-filter.
@@ -187,12 +199,11 @@ int Run(bool quick, const std::string& out_path) {
       point.us =
           1000.0 * bench::BestOfMs(
                        [&] {
-                         auto impl = internal::MakeCursorImpl(
-                             ctx, *prepared, opts);
-                         ResultCursor cursor(std::move(*impl));
-                         head = cursor.Drain(k);
+                         auto cursor =
+                             internal::OpenCursor(ctx, *prepared, opts);
+                         head = cursor->Drain(k);
                          point.visited =
-                             cursor.TakeStats().eval.nodes_visited;
+                             cursor->TakeStats().eval.nodes_visited;
                        },
                        repeats);
       point.returned = head.size();
@@ -214,6 +225,54 @@ int Run(bool quick, const std::string& out_path) {
         static_cast<long long>(row.full_visited), row.selected,
         row.prefix_ok ? "" : "  PREFIX MISMATCH");
   }
+
+  // ------------------------------------------------ governance overhead
+  // Full drains of L1 ungoverned vs. under an ExecControl with no active
+  // limit, whose countdown still charges every visited node and returned
+  // node. The pairs alternate which side runs first, so host drift hits
+  // both sides alike; the figure is the median of the per-pair ratios.
+  const int governance_pairs = quick ? 5 : 21;
+  double ungoverned_ms = 0, governed_ms = 0, governance_overhead_pct = 0;
+  {
+    auto prepared =
+        PreparedQuery::Prepare("//listitem//keyword", doc.alphabet_ptr());
+    if (!prepared.ok()) return 1;
+    const internal::CursorContext ctx{&succinct_index};
+    const ExecControl no_limit;
+    QueryOptions governed;
+    governed.control = &no_limit;
+    const QueryOptions ungoverned;
+    auto drain_ms = [&](const QueryOptions& opts) {
+      const auto t0 = std::chrono::steady_clock::now();
+      auto cursor = internal::OpenCursor(ctx, *prepared, opts);
+      if (cursor.ok()) cursor->Drain();
+      return std::chrono::duration<double, std::milli>(
+                 std::chrono::steady_clock::now() - t0)
+          .count();
+    };
+    drain_ms(ungoverned);  // warm-up
+    std::vector<double> ungoverned_runs, governed_runs, ratios;
+    for (int i = 0; i < governance_pairs; ++i) {
+      double u, g;
+      if (i % 2 == 0) {
+        u = drain_ms(ungoverned);
+        g = drain_ms(governed);
+      } else {
+        g = drain_ms(governed);
+        u = drain_ms(ungoverned);
+      }
+      ungoverned_runs.push_back(u);
+      governed_runs.push_back(g);
+      ratios.push_back(g / u);
+    }
+    ungoverned_ms = Median(ungoverned_runs);
+    governed_ms = Median(governed_runs);
+    governance_overhead_pct = (Median(ratios) - 1.0) * 100.0;
+  }
+  std::printf(
+      "\ngovernance overhead (L1 drain, median of %d alternating pairs): "
+      "ungoverned %.3f ms, governed %.3f ms (%+.2f%%)\n",
+      governance_pairs, ungoverned_ms, governed_ms, governance_overhead_pct);
 
   // --------------------------------------------------- value predicates
   // The content layer at work: each query relaxes to its structural
@@ -247,10 +306,9 @@ int Run(bool quick, const std::string& out_path) {
     std::vector<NodeId> got;
     row.full_ms = bench::BestOfMs(
         [&] {
-          auto impl = internal::MakeCursorImpl(ctx, *prepared, opts);
-          ResultCursor cursor(std::move(*impl));
-          got = cursor.Drain();
-          const CursorStats stats = cursor.TakeStats();
+          auto cursor = internal::OpenCursor(ctx, *prepared, opts);
+          got = cursor->Drain();
+          const CursorStats stats = cursor->TakeStats();
           row.filter_checked = stats.filter_checked;
           row.filter_rejected = stats.filter_rejected;
         },
@@ -259,10 +317,9 @@ int Run(bool quick, const std::string& out_path) {
     row.first_match_us =
         1000.0 * bench::BestOfMs(
                      [&] {
-                       auto impl = internal::MakeCursorImpl(
-                           ctx, *prepared, opts);
-                       ResultCursor cursor(std::move(*impl));
-                       cursor.Drain(1);
+                       auto cursor =
+                           internal::OpenCursor(ctx, *prepared, opts);
+                       cursor->Drain(1);
                      },
                      repeats);
 
@@ -312,6 +369,10 @@ int Run(bool quick, const std::string& out_path) {
                "  \"dense_labels\": %zu,\n  \"sparse_labels\": %zu,\n"
                "  \"succinct_tree_bytes\": %zu,\n"
                "  \"text_store_bytes\": %zu,\n"
+               "  \"governance_pairs\": %d,\n"
+               "  \"governance_ungoverned_ms\": %.4f,\n"
+               "  \"governance_governed_ms\": %.4f,\n"
+               "  \"governance_overhead_pct\": %.3f,\n"
                "  \"results\": [\n",
                quick ? "true" : "false", opt.scale, doc.num_nodes(),
                all_match ? "true" : "false", geo_jump, geo_sp,
@@ -321,7 +382,8 @@ int Run(bool quick, const std::string& out_path) {
                          postings.bytes
                    : 0.0,
                postings.dense_labels, postings.sparse_labels,
-               tree.MemoryUsage(), text.MemoryUsage());
+               tree.MemoryUsage(), text.MemoryUsage(), governance_pairs,
+               ungoverned_ms, governed_ms, governance_overhead_pct);
   for (size_t i = 0; i < rows.size(); ++i) {
     const QueryResultRow& r = rows[i];
     std::fprintf(out,

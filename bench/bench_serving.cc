@@ -3,8 +3,8 @@
 // at 1x, 2x and 4x of the runtime's capacity (workers + queue). Reports
 // QPS and latency percentiles per phase, the shed/deadline counts that
 // show graceful overload degradation (shedding kicks in under overload
-// while admitted queries keep a bounded p99), and the measured overhead
-// of the in-loop governance checks against an ungoverned sweep.
+// while admitted queries keep a bounded p99). The governance overhead is
+// measured where the cursors are drained, in bench_eval_succinct.
 //
 // Usage: bench_serving [--quick] [--out PATH]
 //   --quick  small shards + short phases (CI smoke run; scripts/check.sh)
@@ -28,7 +28,6 @@
 namespace xpwqo {
 namespace {
 
-using std::chrono::duration_cast;
 using std::chrono::microseconds;
 using std::chrono::milliseconds;
 using std::chrono::steady_clock;
@@ -164,45 +163,6 @@ int Run(bool quick, const std::string& out_path) {
     prepared.push_back(*query);
   }
 
-  // Governance overhead: the same full sweep ungoverned vs. under an
-  // ExecControl with no active limit (the monitor still charges every
-  // visited node — this is the amortized-check cost the hot loops pay).
-  double ungoverned_ms = 1e30, governed_ms = 1e30;
-  {
-    ExecControl control;  // no deadline, no cancel, no budget
-    const int reps = quick ? 3 : 9;
-    const int drains = 3;  // per timed sample, to swamp timer noise
-    for (int r = 0; r < reps; ++r) {
-      const steady_clock::time_point t0 = steady_clock::now();
-      for (int d = 0; d < drains; ++d) {
-        auto cursor = collection.OpenCursor("shard0", *prepared[0]);
-        if (cursor.ok()) cursor->Drain();
-      }
-      ungoverned_ms = std::min(
-          ungoverned_ms,
-          duration_cast<microseconds>(steady_clock::now() - t0).count() /
-              1000.0 / drains);
-
-      QueryOptions governed;
-      governed.control = &control;
-      const steady_clock::time_point t1 = steady_clock::now();
-      for (int d = 0; d < drains; ++d) {
-        auto gcursor = collection.OpenCursor("shard0", *prepared[0], governed);
-        if (gcursor.ok()) gcursor->Drain();
-      }
-      governed_ms = std::min(
-          governed_ms,
-          duration_cast<microseconds>(steady_clock::now() - t1).count() /
-              1000.0 / drains);
-    }
-  }
-  const double overhead_pct =
-      (governed_ms / ungoverned_ms - 1.0) * 100.0;
-  std::printf(
-      "governance overhead: ungoverned %.3f ms, governed %.3f ms "
-      "(%+.2f%%)\n",
-      ungoverned_ms, governed_ms, overhead_pct);
-
   // Overload ladder: capacity is num_threads=4 closed-loop clients; 2x
   // and 4x oversubscribe the pool so the queue and then the shedder work.
   std::vector<PhaseResult> phases;
@@ -246,12 +206,11 @@ int Run(bool quick, const std::string& out_path) {
                "  \"shards\": %d,\n  \"nodes\": %lld,\n"
                "  \"num_threads\": 4,\n  \"max_queue\": 4,\n"
                "  \"deadline_ms\": %lld,\n"
-               "  \"governance_overhead_pct\": %.3f,\n"
                "  \"accounting_ok\": %s,\n"
                "  \"overload\": [\n",
                quick ? "true" : "false", shards,
                static_cast<long long>(total_nodes),
-               static_cast<long long>(deadline.count()), overhead_pct,
+               static_cast<long long>(deadline.count()),
                accounting_ok ? "true" : "false");
   for (size_t i = 0; i < phases.size(); ++i) {
     const PhaseResult& p = phases[i];

@@ -41,6 +41,16 @@ if grep -rnE 'PointerTreeView|SuccinctTreeView|EvalAstaSuccinct' \
   exit 1
 fi
 
+# One countdown per query: the cursor owns the query's ExecMonitor and hands
+# it to every stage, so no evaluator, stream or filter may read an
+# ExecControl (and start a countdown of its own) — only the query's monitor
+# reaches a stage.
+if grep -rn 'ExecControl' src/asta src/xpath src/sta src/core/value_filter.*; then
+  echo "check.sh: src/asta, src/xpath, src/sta and src/core/value_filter.*" \
+    "must charge the query's ExecMonitor, not read an ExecControl" >&2
+  exit 1
+fi
+
 cmake -B build -S . -DCMAKE_BUILD_TYPE=Release
 cmake --build build -j"$(nproc)"
 (cd build && ctest --output-on-failure -j"$(nproc)")
@@ -225,7 +235,8 @@ import json, sys
 ev = json.load(open("build/BENCH_eval_succinct.quick.json"))
 for key in ("label_index_bytes", "label_index_vector_bytes",
             "label_index_compression", "dense_labels", "sparse_labels",
-            "succinct_tree_bytes", "text_store_bytes"):
+            "succinct_tree_bytes", "text_store_bytes",
+            "governance_overhead_pct"):
     assert key in ev, f"BENCH_eval_succinct missing {key}"
 assert ev["label_index_bytes"] > 0, "empty label index reported"
 assert ev["label_index_compression"] > 1.0, \

@@ -68,9 +68,13 @@ class AstaEvaluator {
         options_(options),
         tda_(asta),
         num_states_(asta.num_states()),
-        monitor_(options.control) {
+        monitor_(options.monitor != nullptr ? options.monitor
+                                            : &own_monitor_) {
     XPWQO_CHECK(asta.finalized());
   }
+  // monitor_ may point at own_monitor_.
+  AstaEvaluator(const AstaEvaluator&) = delete;
+  AstaEvaluator& operator=(const AstaEvaluator&) = delete;
 
   AstaEvalResult Run() { return RunAt(tree_.root()); }
 
@@ -79,13 +83,15 @@ class AstaEvaluator {
   /// uses exactly the rule Enter applies).
   const TdaAnalysis& tda() const { return tda_; }
 
+  /// True once the monitor stopped; every later RunAt reports no nodes.
+  bool stopped() const { return monitor_->stopped(); }
+
   AstaEvalResult RunAt(NodeId start) {
     AstaEvalResult out;
     if (start == kNullNode) return out;
     SetId s0 = InternMask(asta_.TopMask());
     ResultSet gamma = Drive(start, s0);
-    out.interrupt = monitor_.stop_code();
-    if (out.interrupt == StatusCode::kOk) {
+    if (!monitor_->stopped()) {
       NodeList all;
       for (StateId q : asta_.tops()) {
         if (gamma.accepted.Get(q)) {
@@ -393,11 +399,10 @@ class AstaEvaluator {
         switch (f.phase) {
           case 0: {
             ++stats_.nodes_visited;
-            if (monitor_.Charge()) {
+            if (monitor_->Charge()) {
               // Deadline / cancel / budget tripped: abandon the drive.
-              // Frames are cleared so the next while test exits; a later
-              // RunAt on the same evaluator (region streaming) keeps
-              // reporting the stop through monitor_.stopped().
+              // Frames are cleared so the next while test exits; the
+              // monitor stays stopped, so RunAt emits nothing.
               frames_.clear();
               ret_ = ResultSet(num_states_);
               continue;
@@ -490,7 +495,8 @@ class AstaEvaluator {
   std::deque<Frame> frames_;
   ResultSet ret_;
   AstaEvalStats stats_;
-  ExecMonitor monitor_;
+  ExecMonitor own_monitor_;  // never stops: options.monitor was null
+  ExecMonitor* monitor_;
 };
 
 }  // namespace
@@ -504,7 +510,6 @@ struct AstaRegionStream::Impl {
   virtual void SkipTo(NodeId target) = 0;
   virtual const AstaEvalStats& stats() const = 0;
   virtual bool streaming() const = 0;
-  virtual StatusCode interrupt() const = 0;
 };
 
 namespace {
@@ -543,10 +548,7 @@ class RegionStreamImpl final : public AstaRegionStream::Impl {
       done_ = true;
       AstaEvalResult r = eval_.RunAt(single_root_);
       stats_ = r.stats;
-      if (r.interrupt != StatusCode::kOk) {
-        interrupt_ = r.interrupt;  // partial region: never emitted
-        return false;
-      }
+      if (eval_.stopped()) return false;  // partial region: never emitted
       out->insert(out->end(), r.nodes.begin(), r.nodes.end());
       return true;
     }
@@ -565,8 +567,7 @@ class RegionStreamImpl final : public AstaRegionStream::Impl {
     next_lo_ = view_.BinaryEnd(m);
     AstaEvalResult r = eval_.RunAt(m);  // cumulative stats (shared evaluator)
     stats_ = r.stats;
-    if (r.interrupt != StatusCode::kOk) {
-      interrupt_ = r.interrupt;  // partial region: never emitted
+    if (eval_.stopped()) {  // partial region: never emitted
       done_ = true;
       return false;
     }
@@ -586,8 +587,6 @@ class RegionStreamImpl final : public AstaRegionStream::Impl {
 
   bool streaming() const override { return streaming_; }
 
-  StatusCode interrupt() const override { return interrupt_; }
-
  private:
   const TreeView view_;
   AstaEvaluator<TreeView> eval_;  // persists: memo tables span regions
@@ -598,7 +597,6 @@ class RegionStreamImpl final : public AstaRegionStream::Impl {
   NodeId next_lo_ = 0;
   NodeId skip_to_ = 0;
   int64_t enum_jumps_ = 0;
-  StatusCode interrupt_ = StatusCode::kOk;
   LabelIndex::SetCursor cursor_;
   AstaEvalStats stats_;
   mutable AstaEvalStats merged_;
@@ -624,7 +622,6 @@ bool AstaRegionStream::NextRegion(std::vector<NodeId>* out) {
 }
 void AstaRegionStream::SkipTo(NodeId target) { impl_->SkipTo(target); }
 const AstaEvalStats& AstaRegionStream::stats() const { return impl_->stats(); }
-StatusCode AstaRegionStream::interrupt() const { return impl_->interrupt(); }
 
 AstaEvalResult EvalAsta(const Asta& asta, const TreeIndex& index,
                         const AstaEvalOptions& options) {

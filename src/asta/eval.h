@@ -39,11 +39,11 @@ struct AstaEvalOptions {
   /// Evaluate formulas after the first child to prune the second child's
   /// state set and enforce one-witness predicate semantics (§4.4).
   bool info_propagation = true;
-  /// Deadline / cancellation / visited-node budget, or null for ungoverned
-  /// evaluation (the default; costs one decrement per visited node). On a
-  /// trip the run stops mid-drive and AstaEvalResult::interrupt carries
-  /// the code; the partial node set must be discarded.
-  const ExecControl* control = nullptr;
+  /// The query's countdown (non-owning; must outlive the evaluation), or
+  /// null for a private monitor that never stops. Every visited node is
+  /// charged to it; once it stops, the run abandons its drive and reports
+  /// no nodes, and the caller reads the reason from the monitor.
+  ExecMonitor* monitor = nullptr;
 };
 
 struct AstaEvalStats {
@@ -72,10 +72,6 @@ struct AstaEvalResult {
   /// Selected nodes, document order, duplicate-free.
   std::vector<NodeId> nodes;
   AstaEvalStats stats;
-  /// kOk for a completed run; kDeadlineExceeded / kCancelled /
-  /// kResourceExhausted when ExecControl stopped it early. An interrupted
-  /// result's `nodes` and `accepted` are partial garbage — discard them.
-  StatusCode interrupt = StatusCode::kOk;
 };
 
 /// Evaluates `asta` (finalized) over the document behind `index`.
@@ -123,7 +119,8 @@ class AstaRegionStream {
   bool streaming() const;
 
   /// Appends the next region's matches to `out` (possibly none — a region
-  /// may prove empty). Returns false when the enumeration is exhausted.
+  /// may prove empty). Returns false when the enumeration is exhausted or
+  /// the options' monitor stopped (a partial region is never emitted).
   bool NextRegion(std::vector<NodeId>* out);
 
   /// Regions ending at or before `target` are skipped without evaluation
@@ -132,11 +129,6 @@ class AstaRegionStream {
 
   /// Cumulative work so far (evaluator counters plus enumeration jumps).
   const AstaEvalStats& stats() const;
-
-  /// kOk until an ExecControl limit stops a region evaluation; then the
-  /// stop code. Once set, NextRegion() returns false (the partial region
-  /// is never emitted).
-  StatusCode interrupt() const;
 
   struct Impl;  // backend-templated implementations live in eval.cc
 

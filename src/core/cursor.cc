@@ -83,9 +83,6 @@ class RegionImpl final : public CursorImpl {
     stats->eval = stream_.stats();
     stats->streaming = stream_.streaming();
   }
-  Status status() const override {
-    return InterruptToStatus(stream_.interrupt());
-  }
 
  private:
   AstaRegionStream stream_;
@@ -106,15 +103,13 @@ class HybridImpl final : public CursorImpl {
     stats->used_hybrid = true;
     stats->streaming = stream_.streaming();
   }
-  Status status() const override {
-    return InterruptToStatus(stream_.interrupt());
-  }
 
  private:
   HybridStream stream_;
 };
 
-AstaEvalOptions EvalOptionsFor(const QueryOptions& options) {
+AstaEvalOptions EvalOptionsFor(const QueryOptions& options,
+                               ExecMonitor* monitor) {
   AstaEvalOptions eval;
   switch (options.strategy) {
     case EvalStrategy::kNaive:
@@ -131,41 +126,40 @@ AstaEvalOptions EvalOptionsFor(const QueryOptions& options) {
       break;
   }
   eval.info_propagation = eval.info_propagation && options.info_propagation;
-  eval.control = options.control;
+  eval.monitor = monitor;
   return eval;
 }
 
-/// Builds the relaxed-plan producer for the non-baseline strategies. When
-/// the query carries value predicates, MakeCursorImpl wraps the result in
-/// the verification stage (value_filter.cc).
+/// Builds the relaxed-plan producer for the non-baseline strategies,
+/// charging `monitor`. When the query carries value predicates, OpenCursor
+/// wraps the result in the verification stage (value_filter.cc).
 StatusOr<std::unique_ptr<CursorImpl>> MakeRelaxedImpl(
     const CursorContext& ctx, const PreparedQuery& query,
-    const QueryOptions& options) {
+    const QueryOptions& options, ExecMonitor* monitor) {
   const TreeIndex& index = *ctx.index;
   if (options.strategy == EvalStrategy::kHybrid && query.hybrid() != nullptr) {
     return std::unique_ptr<CursorImpl>(new HybridImpl(
-        HybridStream(*query.hybrid(), query.asta(), index, options.control)));
+        HybridStream(*query.hybrid(), query.asta(), index, monitor)));
   }
 
   // Automaton strategies (and the hybrid fallback when no plan applies).
-  const AstaEvalOptions eval = EvalOptionsFor(options);
+  const AstaEvalOptions eval = EvalOptionsFor(options, monitor);
   if (query.streamable() && eval.jumping) {
     return std::unique_ptr<CursorImpl>(
         new RegionImpl(AstaRegionStream(query.asta(), index, eval)));
   }
   AstaEvalResult r = EvalAsta(query.asta(), index, eval);
-  if (r.interrupt != StatusCode::kOk) return InterruptToStatus(r.interrupt);
+  if (monitor->stopped()) return monitor->ToStatus();
   CursorStats stats;
   stats.eval = r.stats;
   return std::unique_ptr<CursorImpl>(
       new EagerImpl(std::move(r.nodes), std::move(stats)));
 }
 
-}  // namespace
-
-StatusOr<std::unique_ptr<CursorImpl>> MakeCursorImpl(
+/// The producer for (query, options), charging `monitor`.
+StatusOr<std::unique_ptr<CursorImpl>> MakeProducer(
     const CursorContext& ctx, const PreparedQuery& query,
-    const QueryOptions& options) {
+    const QueryOptions& options, ExecMonitor* monitor) {
   if (options.strategy == EvalStrategy::kBaseline) {
     if (ctx.doc == nullptr) {
       return Status::InvalidArgument(
@@ -188,29 +182,44 @@ StatusOr<std::unique_ptr<CursorImpl>> MakeCursorImpl(
         "index image; re-save it to get a version-2 image with text)");
   }
   XPWQO_ASSIGN_OR_RETURN(std::unique_ptr<CursorImpl> impl,
-                         MakeRelaxedImpl(ctx, query, options));
+                         MakeRelaxedImpl(ctx, query, options, monitor));
   if (query.has_value_predicates()) {
     // The plans above ran the structural relaxation; keep only candidates
     // the full path (value comparisons included) actually selects.
     impl = WrapWithValueFilter(std::move(impl), query.path(), ctx,
-                               *query.alphabet_ptr(), options.control);
+                               *query.alphabet_ptr(), monitor);
   }
   return impl;
 }
 
+}  // namespace
+
+StatusOr<ResultCursor> OpenCursor(const CursorContext& ctx,
+                                  const PreparedQuery& query,
+                                  const QueryOptions& options,
+                                  std::shared_ptr<const PreparedQuery> retained,
+                                  int64_t cache_hits) {
+  auto monitor = std::make_unique<ExecMonitor>(options.control);
+  XPWQO_ASSIGN_OR_RETURN(std::unique_ptr<CursorImpl> impl,
+                         MakeProducer(ctx, query, options, monitor.get()));
+  return ResultCursor(std::move(monitor), std::move(impl), std::move(retained),
+                      cache_hits);
+}
+
 }  // namespace internal
 
-ResultCursor::ResultCursor(std::unique_ptr<internal::CursorImpl> impl,
+ResultCursor::ResultCursor(std::unique_ptr<ExecMonitor> monitor,
+                           std::unique_ptr<internal::CursorImpl> impl,
                            std::shared_ptr<const PreparedQuery> retained,
-                           int64_t cache_hits, const ExecControl* control)
-    : impl_(std::move(impl)),
+                           int64_t cache_hits)
+    : monitor_(std::move(monitor)),
+      impl_(std::move(impl)),
       retained_(std::move(retained)),
-      cache_hits_(cache_hits),
-      monitor_(control) {}
+      cache_hits_(cache_hits) {}
 
 NodeId ResultCursor::Next() {
   if (done_) return kNullNode;
-  if (monitor_.Charge()) {
+  if (monitor_->Charge()) {
     done_ = true;
     return kNullNode;
   }
@@ -228,7 +237,7 @@ NodeId ResultCursor::Next() {
 
 NodeId ResultCursor::SeekGe(NodeId target) {
   if (done_) return kNullNode;
-  if (monitor_.Charge()) {
+  if (monitor_->Charge()) {
     done_ = true;
     return kNullNode;
   }
@@ -270,11 +279,6 @@ CursorStats ResultCursor::TakeStats() const {
   stats.returned = returned_;
   stats.eval.query_cache_hits = cache_hits_;
   return stats;
-}
-
-Status ResultCursor::status() const {
-  if (monitor_.stopped()) return monitor_.ToStatus();
-  return impl_->status();
 }
 
 }  // namespace xpwqo

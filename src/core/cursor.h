@@ -17,6 +17,12 @@
 // picks the backend; the pointer Document is read only by the baseline
 // strategy and, when present, as the value filter's value source.
 //
+// A cursor owns its query's one ExecMonitor — the countdown over
+// QueryOptions::control. Every stage of the query (automaton runs, hybrid
+// candidates and ancestor walks, value-filter verification, returned
+// nodes) charges that monitor and stops when it stops, so status() is the
+// monitor's verdict and no stage keeps a countdown of its own.
+//
 // A cursor borrows the engine's document/index and (unless it was opened
 // from a query string, which retains the cached compilation) the
 // PreparedQuery — both must outlive it. Cursors are single-owner and
@@ -31,11 +37,13 @@
 #include "core/prepared_query.h"
 #include "core/query.h"
 #include "tree/types.h"
+#include "util/exec_control.h"
 #include "util/status.h"
 
 namespace xpwqo {
 
 class Document;
+class ResultCursor;
 class TextStore;
 class TreeIndex;
 
@@ -56,9 +64,6 @@ class CursorImpl {
   virtual bool streaming() const = 0;
   /// Writes the producer-side counters (eval/hybrid/baseline stats).
   virtual void ReportStats(CursorStats* stats) const = 0;
-  /// OK, or the ExecControl stop reason once a governed producer was
-  /// interrupted (after which NextBatch keeps returning false).
-  virtual Status status() const { return Status::OK(); }
 };
 
 /// The engine internals a cursor evaluates against (non-owning).
@@ -75,30 +80,27 @@ struct CursorContext {
   const Document* doc = nullptr;
 };
 
-/// Builds the one producer for (query, options) over `ctx`, which both
-/// OpenCursor and Engine::Run drain: a lazy mask scan for the baseline, a
-/// HybridStream for kHybrid with a plan, an AstaRegionStream for a
-/// streamable query under a jumping strategy, and otherwise one EvalAsta
-/// run at construction. Fails like Engine::Run (e.g. baseline without a
-/// pointer Document).
-StatusOr<std::unique_ptr<CursorImpl>> MakeCursorImpl(
+/// Opens the one cursor for (query, options) over `ctx`, which both
+/// Engine::OpenCursor and Engine::Run drain. It builds the query's
+/// ExecMonitor over `options.control` first, then the producer that
+/// charges it: a lazy mask scan for the baseline, a HybridStream for
+/// kHybrid with a plan, an AstaRegionStream for a streamable query under a
+/// jumping strategy, and otherwise one EvalAsta run here (a stop during
+/// that run is returned as the error); value predicates add the filter
+/// stage. `retained` optionally keeps a shared compilation alive for the
+/// cursor's lifetime (string-opened cursors); `cache_hits` seeds
+/// CursorStats::eval::query_cache_hits. Fails like Engine::Run (e.g.
+/// baseline without a pointer Document).
+StatusOr<ResultCursor> OpenCursor(
     const CursorContext& ctx, const PreparedQuery& query,
-    const QueryOptions& options);
+    const QueryOptions& options,
+    std::shared_ptr<const PreparedQuery> retained = nullptr,
+    int64_t cache_hits = 0);
 
 }  // namespace internal
 
 class ResultCursor {
  public:
-  /// Wraps a producer. `retained` optionally keeps a shared compilation
-  /// alive for the cursor's lifetime (string-opened cursors); `cache_hits`
-  /// seeds CursorStats::eval::query_cache_hits. `control` (usually the one
-  /// from QueryOptions, non-owning) additionally charges one unit per
-  /// returned node, so pulls over already-materialized batches still
-  /// observe deadlines and cancellation.
-  explicit ResultCursor(std::unique_ptr<internal::CursorImpl> impl,
-                        std::shared_ptr<const PreparedQuery> retained = nullptr,
-                        int64_t cache_hits = 0,
-                        const ExecControl* control = nullptr);
   ResultCursor(ResultCursor&&) = default;
   ResultCursor& operator=(ResultCursor&&) = default;
 
@@ -126,14 +128,29 @@ class ResultCursor {
   /// driven.
   CursorStats TakeStats() const;
 
-  /// OK while results flow. When a QueryOptions::control limit trips
-  /// mid-stream, Next()/SeekGe() return kNullNode and this reports why
-  /// (kDeadlineExceeded / kCancelled / kResourceExhausted) — the
+  /// OK while results flow. When a QueryOptions::control limit trips —
+  /// in any stage, or at the one charge per returned node —
+  /// Next()/SeekGe() return kNullNode and this reports why
+  /// (kDeadlineExceeded / kCancelled / kResourceExhausted): the
   /// distinction between "exhausted" and "stopped". Results already handed
   /// out remain valid; the tail was never produced.
-  Status status() const;
+  Status status() const { return monitor_->ToStatus(); }
 
  private:
+  friend StatusOr<ResultCursor> internal::OpenCursor(
+      const internal::CursorContext& ctx, const PreparedQuery& query,
+      const QueryOptions& options,
+      std::shared_ptr<const PreparedQuery> retained, int64_t cache_hits);
+
+  ResultCursor(std::unique_ptr<ExecMonitor> monitor,
+               std::unique_ptr<internal::CursorImpl> impl,
+               std::shared_ptr<const PreparedQuery> retained,
+               int64_t cache_hits);
+
+  /// The query's one countdown. Heap-held because the producer keeps a
+  /// pointer to it while the cursor moves; declared before impl_ so it is
+  /// destroyed after the producer.
+  std::unique_ptr<ExecMonitor> monitor_;
   std::unique_ptr<internal::CursorImpl> impl_;
   std::shared_ptr<const PreparedQuery> retained_;
   std::vector<NodeId> buffer_;
@@ -141,7 +158,6 @@ class ResultCursor {
   bool done_ = false;
   int64_t returned_ = 0;
   int64_t cache_hits_ = 0;
-  ExecMonitor monitor_;  // per-returned-node charge (ungoverned when null)
 };
 
 }  // namespace xpwqo

@@ -246,12 +246,10 @@ StatusOr<ResultCursor> Engine::OpenCursor(const PreparedQuery& query,
                                           const QueryOptions& options) const {
   XPWQO_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> rebound,
                          Bind(query));
-  XPWQO_ASSIGN_OR_RETURN(
-      std::unique_ptr<internal::CursorImpl> impl,
-      internal::MakeCursorImpl(Context(), rebound ? *rebound : query,
-                               options));
-  return ResultCursor(std::move(impl), std::move(rebound), 0,
-                      options.control);
+  // Taken before `rebound` moves into the cursor (argument order is
+  // unspecified).
+  const PreparedQuery& bound = rebound ? *rebound : query;
+  return internal::OpenCursor(Context(), bound, options, std::move(rebound));
 }
 
 StatusOr<ResultCursor> Engine::OpenCursor(std::string_view xpath,
@@ -270,25 +268,14 @@ StatusOr<ResultCursor> Engine::OpenCursor(
   XPWQO_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> rebound,
                          Bind(*query));
   if (rebound != nullptr) query = std::move(rebound);
-  XPWQO_ASSIGN_OR_RETURN(
-      std::unique_ptr<internal::CursorImpl> impl,
-      internal::MakeCursorImpl(Context(), *query, options));
-  return ResultCursor(std::move(impl), std::move(query), cache_->hits(),
-                      options.control);
+  const PreparedQuery& bound = *query;  // before `query` moves
+  return internal::OpenCursor(Context(), bound, options, std::move(query),
+                              cache_->hits());
 }
 
 StatusOr<QueryResult> Engine::Run(const PreparedQuery& query,
                                   const QueryOptions& options) const {
-  XPWQO_ASSIGN_OR_RETURN(std::shared_ptr<const PreparedQuery> rebound,
-                         Bind(query));
-  // Run drains the producer OpenCursor opens. The cursor itself gets no
-  // control, so returned nodes are not charged a second time; a governed
-  // producer that stopped reports why through status().
-  XPWQO_ASSIGN_OR_RETURN(
-      std::unique_ptr<internal::CursorImpl> impl,
-      internal::MakeCursorImpl(Context(), rebound ? *rebound : query,
-                               options));
-  ResultCursor cursor(std::move(impl));
+  XPWQO_ASSIGN_OR_RETURN(ResultCursor cursor, OpenCursor(query, options));
   QueryResult out;
   out.nodes = cursor.Drain();
   XPWQO_RETURN_IF_ERROR(cursor.status());

@@ -157,11 +157,10 @@ class Engine {
   StatusOr<ResultCursor> OpenCursor(std::shared_ptr<const PreparedQuery> query,
                                     const QueryOptions& options = {}) const;
 
-  /// Runs a compiled query to completion: drains the same producer
-  /// OpenCursor opens into one materialized result. When a
-  /// QueryOptions::control limit stops the run, returns that stop
-  /// (kDeadlineExceeded / kCancelled / kResourceExhausted) instead of a
-  /// partial answer.
+  /// Runs a compiled query to completion: drains the cursor OpenCursor
+  /// opens into one materialized result. When a QueryOptions::control
+  /// limit stops the run, returns that stop (kDeadlineExceeded /
+  /// kCancelled / kResourceExhausted) instead of a partial answer.
   StatusOr<QueryResult> Run(const PreparedQuery& query,
                             const QueryOptions& options = {}) const;
 

@@ -33,10 +33,13 @@ struct QueryOptions {
   bool info_propagation = true;
   /// Deadline / cancellation / visited-node budget for this run, or null
   /// for ungoverned evaluation (the default). Must outlive the run (and
-  /// the cursor, for OpenCursor). Enforced by the automaton and hybrid
-  /// strategies; the baseline's set-at-a-time passes stay ungoverned.
-  /// Eager runs that trip return the error Status directly; cursors stop
-  /// and report it through ResultCursor::status().
+  /// the cursor, for OpenCursor). The query runs under one countdown over
+  /// it, owned by its cursor: the automaton and hybrid plans, the value
+  /// filter and every returned node charge that countdown, so a budget
+  /// counts all of them together (the baseline's set-at-a-time passes are
+  /// not charged; its returned nodes are). Run returns a stop as its
+  /// error Status; a cursor stops and reports it through
+  /// ResultCursor::status().
   const ExecControl* control = nullptr;
 };
 

@@ -237,13 +237,13 @@ class FilterImpl final : public CursorImpl {
  public:
   FilterImpl(std::unique_ptr<CursorImpl> inner, const Path& path,
              const CursorContext& ctx, const Alphabet& alphabet,
-             const ExecControl* control)
+             ExecMonitor* monitor)
       : inner_(std::move(inner)),
-        monitor_(control),
-        verifier_(path, ctx, alphabet, &monitor_) {}
+        monitor_(monitor),
+        verifier_(path, ctx, alphabet, monitor) {}
 
   bool NextBatch(std::vector<NodeId>* out) override {
-    if (monitor_.stopped()) return false;
+    if (monitor_->stopped()) return false;
     raw_.clear();
     if (!inner_->NextBatch(&raw_)) return false;
     for (const NodeId n : raw_) {
@@ -253,7 +253,7 @@ class FilterImpl final : public CursorImpl {
       } else {
         ++rejected_;
       }
-      if (monitor_.stopped()) break;
+      if (monitor_->stopped()) break;
     }
     return true;
   }
@@ -264,14 +264,10 @@ class FilterImpl final : public CursorImpl {
     stats->filter_checked = checked_;
     stats->filter_rejected = rejected_;
   }
-  Status status() const override {
-    if (monitor_.stopped()) return monitor_.ToStatus();
-    return inner_->status();
-  }
 
  private:
   std::unique_ptr<CursorImpl> inner_;
-  ExecMonitor monitor_;  // declared before the verifier that borrows it
+  ExecMonitor* monitor_;
   PathVerifier verifier_;
   std::vector<NodeId> raw_;
   int64_t checked_ = 0;
@@ -282,10 +278,9 @@ class FilterImpl final : public CursorImpl {
 
 std::unique_ptr<CursorImpl> WrapWithValueFilter(
     std::unique_ptr<CursorImpl> inner, const Path& path,
-    const CursorContext& ctx, const Alphabet& alphabet,
-    const ExecControl* control) {
+    const CursorContext& ctx, const Alphabet& alphabet, ExecMonitor* monitor) {
   return std::unique_ptr<CursorImpl>(
-      new FilterImpl(std::move(inner), path, ctx, alphabet, control));
+      new FilterImpl(std::move(inner), path, ctx, alphabet, monitor));
 }
 
 }  // namespace internal

@@ -8,8 +8,9 @@
 // [contains(...,'v')] — by navigating the engine's TreeIndex (whichever
 // backend it wraps) and reading values from the pointer Document when the
 // engine holds one, else from the TextStore. Every visited node is charged
-// to the query's ExecControl, so governed serving keeps its deadline
-// guarantees through the comparison work too.
+// to the query's ExecMonitor — the cursor's one countdown, which the
+// relaxed plan charges too — so governed serving keeps its deadline
+// guarantees through the comparison work.
 //
 // The baseline strategy never comes through here: it evaluates the original
 // path natively (baseline/nodeset_eval.cc) and doubles as the oracle the
@@ -29,14 +30,14 @@ namespace internal {
 
 /// Wraps a relaxed-plan producer in a verification stage that keeps only
 /// the candidates the full `path` selects. `ctx` must carry a value source
-/// (doc or text) — MakeCursorImpl rejects the call otherwise — and `path`,
-/// `alphabet`, `ctx` and `control` must outlive the returned producer.
-/// Document order and the streaming/SkipHint contracts pass through
-/// unchanged; verification work is charged against `control`.
+/// (doc or text) — OpenCursor rejects the call otherwise — and `path`,
+/// `alphabet`, `ctx` and `monitor` (the cursor's, borrowed) must outlive
+/// the returned producer. Document order and the streaming/SkipHint
+/// contracts pass through unchanged; verification work is charged to
+/// `monitor`, and once it stops no further batch is produced.
 std::unique_ptr<CursorImpl> WrapWithValueFilter(
     std::unique_ptr<CursorImpl> inner, const Path& path,
-    const CursorContext& ctx, const Alphabet& alphabet,
-    const ExecControl* control);
+    const CursorContext& ctx, const Alphabet& alphabet, ExecMonitor* monitor);
 
 }  // namespace internal
 }  // namespace xpwqo

@@ -65,14 +65,12 @@ std::vector<StateJumpInfo> ClassifyStates(const Sta& sta) {
 template <typename TreeView>
 class JumpRunner {
  public:
-  JumpRunner(const Sta& sta, TreeView doc, const TreeIndex& index,
-             const JumpRunOptions& options)
+  JumpRunner(const Sta& sta, TreeView doc, const TreeIndex& index)
       : sta_(sta),
         doc_(doc),
         index_(index),
         infos_(ClassifyStates(sta)),
-        sink_(FindTopDownSink(sta)),
-        monitor_(options.control) {}
+        sink_(FindTopDownSink(sta)) {}
 
   JumpRunResult Run() {
     XPWQO_CHECK(sta_.tops().size() == 1);
@@ -88,16 +86,6 @@ class JumpRunner {
       auto [n, q] = stack_.back();
       stack_.pop_back();
       Visit(n, q);
-    }
-    if (monitor_.stopped()) {
-      // The partial run is not a valid partial mapping; return an empty
-      // result carrying only the stop code and the work done so far.
-      JumpRunStats stats = out.stats;
-      out = JumpRunResult{};
-      out.states.assign(doc_.num_nodes(), kNoState);
-      out.stats = stats;
-      out.interrupt = monitor_.stop_code();
-      return out;
     }
     if (failed_) {
       out = JumpRunResult{};
@@ -170,10 +158,6 @@ class JumpRunner {
     result_->states[n] = q;
     result_->visited.push_back(n);
     ++result_->stats.nodes_visited;
-    if (monitor_.Charge()) {
-      stack_.clear();  // drain the work list; Run() reports the stop code
-      return;
-    }
     if (sta_.Selects(q, doc_.label(n))) result_->selected.push_back(n);
     auto [q1, q2] = sta_.Destination(q, doc_.label(n));
     if (q1 == sink_ || q2 == sink_) {
@@ -203,16 +187,14 @@ class JumpRunner {
   StateId sink_;
   std::vector<std::pair<NodeId, StateId>> stack_;
   JumpRunResult* result_ = nullptr;
-  ExecMonitor monitor_;
   bool failed_ = false;
 };
 
 }  // namespace
 
-JumpRunResult TopDownJumpRun(const Sta& sta, const TreeIndex& index,
-                             const JumpRunOptions& options) {
+JumpRunResult TopDownJumpRun(const Sta& sta, const TreeIndex& index) {
   return VisitTreeView(index, [&](auto view) {
-    return JumpRunner<decltype(view)>(sta, view, index, options).Run();
+    return JumpRunner<decltype(view)>(sta, view, index).Run();
   });
 }
 

@@ -24,7 +24,6 @@
 #include "index/tree_index.h"
 #include "sta/run.h"
 #include "sta/sta.h"
-#include "util/exec_control.h"
 
 namespace xpwqo {
 
@@ -32,14 +31,6 @@ namespace xpwqo {
 struct JumpRunStats {
   int64_t nodes_visited = 0;
   int64_t jumps = 0;
-};
-
-/// Governance of a jumping run.
-struct JumpRunOptions {
-  /// Deadline / cancellation / visited-node budget, or null for ungoverned
-  /// runs. On a trip the run stops and JumpRunResult::interrupt carries the
-  /// code; the partial run is garbage and must be discarded.
-  const ExecControl* control = nullptr;
 };
 
 /// Result of a jumping run: `states[n]` is the run state for visited nodes,
@@ -50,18 +41,13 @@ struct JumpRunResult {
   std::vector<NodeId> visited;   // document order
   std::vector<NodeId> selected;  // document order
   JumpRunStats stats;
-  /// kOk for a completed run; kDeadlineExceeded / kCancelled /
-  /// kResourceExhausted when JumpRunOptions::control stopped it early. An
-  /// interrupted result's other fields are partial garbage — discard them.
-  StatusCode interrupt = StatusCode::kOk;
 };
 
 /// Runs Algorithm B.1 over the document behind `index` (the index picks
 /// the backend). `sta` must be top-down deterministic and complete
 /// (minimality is what makes the visited set tight; correctness holds for
 /// any deterministic complete automaton).
-JumpRunResult TopDownJumpRun(const Sta& sta, const TreeIndex& index,
-                             const JumpRunOptions& options = {});
+JumpRunResult TopDownJumpRun(const Sta& sta, const TreeIndex& index);
 
 }  // namespace xpwqo
 

@@ -1,9 +1,16 @@
 // ExecControl / ExecMonitor: cooperative resource governance for the
 // evaluation hot loops. A query carries at most one ExecControl — an
 // absolute deadline, a cancellation flag, and a visited-node budget — and
-// every evaluator (ASTA drive, region streaming, hybrid pivot streaming,
-// TopDownJumpRun, cursor pulls) charges its visited nodes against an
-// ExecMonitor over that control.
+// runs under exactly one ExecMonitor over it: the countdown its
+// ResultCursor owns (core/cursor.h). Every stage of the query charges that
+// one monitor and stops when it stops: the ASTA drive and region stream,
+// the hybrid candidates, ancestor walks and suffix runs, the value
+// filter's verification steps, and one charge per returned node. So a
+// budget counts all of a query's work, and a deadline or cancel flag is
+// checked every check_interval charges however the work is split across
+// stages. The stages (src/asta, src/xpath, the value filter) take an
+// ExecMonitor*, never an ExecControl, so none can start a countdown of its
+// own; scripts/check.sh enforces that.
 //
 // The monitor amortizes the expensive checks (steady_clock::now, the
 // atomic cancel load) over kDefaultCheckInterval charges, so the per-node
@@ -28,10 +35,10 @@
 
 namespace xpwqo {
 
-/// The resource limits one query runs under. Plain data, shared read-only
-/// by every evaluator the query fans out to; must outlive them. A null
-/// ExecControl pointer (the default everywhere) means ungoverned
-/// evaluation with near-zero overhead.
+/// The resource limits one query runs under. Plain data, read only by the
+/// query's ExecMonitor; must outlive it. A null ExecControl pointer (the
+/// default everywhere) means ungoverned evaluation with near-zero
+/// overhead.
 struct ExecControl {
   using Clock = std::chrono::steady_clock;
 
@@ -40,8 +47,9 @@ struct ExecControl {
   /// Cooperative cancellation flag (non-owning), or null. Set it to true
   /// from any thread; evaluators observe it within one check interval.
   const std::atomic<bool>* cancel = nullptr;
-  /// Visited-node budget for one evaluator chain; < 0 means unlimited.
-  /// Enforced to within one check interval.
+  /// Budget of charges for the whole query — visited nodes in every stage
+  /// plus one per returned node; < 0 means unlimited. Trips exactly at the
+  /// budget (the monitor shortens its last stride).
   int64_t max_visited = -1;
   /// How many charges between expensive checks (clock read + cancel
   /// load). The amortization constant: larger is cheaper per node but
@@ -57,8 +65,10 @@ struct ExecControl {
 /// kResourceExhausted) to its descriptive error Status; OK for kOk.
 Status InterruptToStatus(StatusCode code);
 
-/// Per-evaluator countdown against an ExecControl. Not thread-safe (one
-/// evaluator, one monitor); the shared pieces (the cancel flag) are.
+/// A query's countdown against an ExecControl. Not thread-safe (one
+/// query, one monitor, charged by its stages in turn); the shared pieces
+/// (the cancel flag) are. A default-constructed or null-control monitor
+/// never stops.
 class ExecMonitor {
  public:
   ExecMonitor() = default;

@@ -48,13 +48,16 @@ size_t PickPivot(const std::vector<LabelId>& labels, const TreeIndex& index) {
 
 /// Upward prefix check: matches //l_{pivot-1}/.../l1 as an ancestor
 /// subsequence, greedily from the candidate up (pure parent moves, like the
-/// paper). Counts each step into `nodes_visited`.
+/// paper). Counts each step into `nodes_visited` and charges it to
+/// `monitor`; false once the monitor stops.
 bool PrefixMatches(const TreeIndex& index, const std::vector<LabelId>& labels,
-                   size_t pivot, NodeId candidate, int64_t* nodes_visited) {
+                   size_t pivot, NodeId candidate, int64_t* nodes_visited,
+                   ExecMonitor* monitor) {
   size_t need = pivot;  // labels[need-1] is the next one to find
   for (NodeId p = index.Parent(candidate); p != kNullNode && need > 0;
        p = index.Parent(p)) {
     ++*nodes_visited;
+    if (monitor->Charge()) return false;
     if (index.Label(p) == labels[need - 1]) --need;
   }
   return need == 0;
@@ -67,8 +70,11 @@ bool PrefixMatches(const TreeIndex& index, const std::vector<LabelId>& labels,
 
 struct HybridStream::Impl {
   Impl(const HybridPlan& plan, const Asta& full, const TreeIndex& index,
-       const ExecControl* control)
-      : plan_(&plan), index_(&index) {
+       ExecMonitor* monitor)
+      : plan_(&plan),
+        index_(&index),
+        monitor_(monitor != nullptr ? monitor : &own_monitor_) {
+    opts_.monitor = monitor_;
     const std::vector<LabelId>& labels = plan.labels();
     const size_t k = labels.size();
     const size_t pivot = PickPivot(labels, index);
@@ -76,38 +82,20 @@ struct HybridStream::Impl {
     stats_.pivot_count = index.Count(labels[pivot]);
     pivot_ = pivot;
     pivot_is_last_ = pivot + 1 == k;
-    if (control != nullptr) {
-      // Deadline + cancellation amortized at one charge per candidate (the
-      // ancestor walk is bounded by the document depth, and the suffix runs
-      // carry their own checks); the budget is enforced exactly against
-      // stats_.nodes_visited, with the remainder handed to suffix runs.
-      governed_ = true;
-      budget_ = control->max_visited;
-      cand_control_ = *control;
-      cand_control_.max_visited = -1;
-      monitor_.Reset(&cand_control_);
-      sub_control_ = *control;
-      opts_.control = &sub_control_;
-    }
     if (pivot == 0) {
       // First label rarest: start-anywhere degenerates to the regular
       // top-down run — stream it region by region (hybrid-evaluable paths
-      // are predicate-free, so region emission is final). The full-chain
-      // region stream takes the whole control, budget included.
-      AstaEvalOptions full_opts = opts_;
-      full_opts.control = control;
-      full_.emplace(full, index, full_opts);
+      // are predicate-free, so region emission is final).
+      full_.emplace(full, index, opts_);
       return;
     }
     pivot_cursor_ = PostingList::Cursor(index.labels().Postings(labels[pivot]));
   }
 
   bool NextBatch(std::vector<NodeId>* out) {
-    if (interrupt_ != StatusCode::kOk) return false;
     if (full_.has_value()) {
       const bool more = full_->NextRegion(out);
       stats_.nodes_visited = full_->stats().nodes_visited;
-      interrupt_ = full_->interrupt();
       return more;
     }
     const std::vector<LabelId>& labels = plan_->labels();
@@ -122,17 +110,10 @@ struct HybridStream::Impl {
         continue;
       }
       ++stats_.nodes_visited;  // the candidate itself
-      if (governed_) {
-        if (monitor_.Charge()) {
-          interrupt_ = monitor_.stop_code();
-          return false;
-        }
-        if (budget_ >= 0 && stats_.nodes_visited >= budget_) {
-          interrupt_ = StatusCode::kResourceExhausted;
-          return false;
-        }
-      }
-      if (!PrefixMatches(*index_, labels, pivot_, c, &stats_.nodes_visited)) {
+      if (monitor_->Charge()) return false;
+      if (!PrefixMatches(*index_, labels, pivot_, c, &stats_.nodes_visited,
+                         monitor_)) {
+        if (monitor_->stopped()) return false;
         continue;
       }
       if (pivot_is_last_) {
@@ -142,21 +123,10 @@ struct HybridStream::Impl {
       cover_end_ = index_->XmlEnd(c);
       NodeId below = index_->FirstChild(c);
       if (below == kNullNode) continue;
-      if (governed_ && budget_ >= 0) {
-        const int64_t left = budget_ - stats_.nodes_visited;
-        if (left <= 0) {
-          interrupt_ = StatusCode::kResourceExhausted;
-          return false;
-        }
-        sub_control_.max_visited = left;
-      }
       AstaEvalResult sub =
           EvalAstaAt(plan_->suffix_asta(pivot_), *index_, below, opts_);
       stats_.nodes_visited += sub.stats.nodes_visited;
-      if (sub.interrupt != StatusCode::kOk) {
-        interrupt_ = sub.interrupt;  // partial batch: never emitted
-        return false;
-      }
+      if (monitor_->stopped()) return false;  // partial batch: never emitted
       if (sub.nodes.empty()) continue;
       out->insert(out->end(), sub.nodes.begin(), sub.nodes.end());
       return true;
@@ -177,15 +147,11 @@ struct HybridStream::Impl {
 
   const HybridPlan* plan_;
   const TreeIndex* index_;
-  AstaEvalOptions opts_;  // jumping + memoization + info propagation
+  ExecMonitor own_monitor_;  // never stops: the caller passed none
+  ExecMonitor* monitor_;     // charged for every node in stats_.nodes_visited
+  AstaEvalOptions opts_;     // jumping + memoization + info propagation
   size_t pivot_ = 0;
   bool pivot_is_last_ = false;
-  bool governed_ = false;
-  int64_t budget_ = -1;
-  ExecControl cand_control_;  // deadline + cancel, one charge per candidate
-  ExecControl sub_control_;   // handed to suffix runs, budget = remainder
-  ExecMonitor monitor_;
-  StatusCode interrupt_ = StatusCode::kOk;
   std::optional<AstaRegionStream> full_;  // pivot == 0 degeneration
   PostingList::Cursor pivot_cursor_;
   NodeId pos_ = 0;        // next posting lower bound
@@ -195,8 +161,8 @@ struct HybridStream::Impl {
 };
 
 HybridStream::HybridStream(const HybridPlan& plan, const Asta& full,
-                           const TreeIndex& index, const ExecControl* control)
-    : impl_(std::make_unique<Impl>(plan, full, index, control)) {}
+                           const TreeIndex& index, ExecMonitor* monitor)
+    : impl_(std::make_unique<Impl>(plan, full, index, monitor)) {}
 
 HybridStream::HybridStream(HybridStream&&) noexcept = default;
 HybridStream& HybridStream::operator=(HybridStream&&) noexcept = default;
@@ -208,6 +174,5 @@ bool HybridStream::NextBatch(std::vector<NodeId>* out) {
 void HybridStream::SkipTo(NodeId target) { impl_->SkipTo(target); }
 bool HybridStream::streaming() const { return impl_->streaming(); }
 const HybridStats& HybridStream::stats() const { return impl_->stats_; }
-StatusCode HybridStream::interrupt() const { return impl_->interrupt_; }
 
 }  // namespace xpwqo

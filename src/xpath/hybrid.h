@@ -82,13 +82,15 @@ class HybridPlan {
 /// same path as `plan` (PreparedQuery::asta()).
 class HybridStream {
  public:
-  /// `control` (optional) governs the pull: deadline and cancellation are
-  /// checked at one charge per candidate, the visited-node budget is
-  /// enforced exactly against stats().nodes_visited, and each suffix
-  /// evaluation runs under the remaining budget. Must outlive the stream,
-  /// as must `plan`, `full` and `index`.
+  /// `monitor` is the query's countdown (null: a private one that never
+  /// stops). Every node counted in stats().nodes_visited — candidate,
+  /// ancestor-walk step, suffix visit — is charged to it, so one deadline,
+  /// cancel flag and budget govern the whole pull. Once it stops,
+  /// NextBatch() returns false and the partial batch is never emitted; the
+  /// caller reads the reason from the monitor. `monitor`, `plan`, `full`
+  /// and `index` must outlive the stream.
   HybridStream(const HybridPlan& plan, const Asta& full,
-               const TreeIndex& index, const ExecControl* control = nullptr);
+               const TreeIndex& index, ExecMonitor* monitor = nullptr);
   HybridStream(HybridStream&&) noexcept;
   HybridStream& operator=(HybridStream&&) noexcept;
   ~HybridStream();
@@ -106,11 +108,6 @@ class HybridStream {
   bool streaming() const;
 
   const HybridStats& stats() const;
-
-  /// kOk until an ExecControl limit stops the pull; then the stop code.
-  /// Once set, NextBatch() returns false (partial batches are never
-  /// emitted).
-  StatusCode interrupt() const;
 
   struct Impl;  // defined in hybrid.cc
 

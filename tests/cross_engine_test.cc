@@ -46,7 +46,6 @@ StatusOr<std::vector<NodeId>> DrainHybrid(const HybridPlan& plan,
   std::vector<NodeId> out;
   while (stream.NextBatch(&out)) {
   }
-  XPWQO_RETURN_IF_ERROR(InterruptToStatus(stream.interrupt()));
   return out;
 }
 
@@ -65,27 +64,24 @@ void CheckCursors(const internal::CursorContext& ctx,
     if (s == EvalStrategy::kBaseline && ctx.doc == nullptr) continue;
     QueryOptions opts;
     opts.strategy = s;
-    auto full_impl = internal::MakeCursorImpl(ctx, query, opts);
-    ASSERT_TRUE(full_impl.ok()) << backend << " " << EvalStrategyName(s);
-    ResultCursor full(std::move(*full_impl));
-    ASSERT_EQ(full.Drain(), expect)
+    auto full = internal::OpenCursor(ctx, query, opts);
+    ASSERT_TRUE(full.ok()) << backend << " " << EvalStrategyName(s);
+    ASSERT_EQ(full->Drain(), expect)
         << backend << " cursor " << EvalStrategyName(s);
 
     const size_t k = std::min<size_t>(3, expect.size() + 1);
-    auto head_impl = internal::MakeCursorImpl(ctx, query, opts);
-    ASSERT_TRUE(head_impl.ok());
-    ResultCursor head(std::move(*head_impl));
-    std::vector<NodeId> first = head.Drain(k);
+    auto head = internal::OpenCursor(ctx, query, opts);
+    ASSERT_TRUE(head.ok());
+    std::vector<NodeId> first = head->Drain(k);
     ASSERT_EQ(first.size(), std::min(k, expect.size()));
     ASSERT_TRUE(std::equal(first.begin(), first.end(), expect.begin()))
         << backend << " truncated cursor " << EvalStrategyName(s);
 
     if (!expect.empty()) {
       const NodeId target = expect[expect.size() / 2];
-      auto seek_impl = internal::MakeCursorImpl(ctx, query, opts);
-      ASSERT_TRUE(seek_impl.ok());
-      ResultCursor seek(std::move(*seek_impl));
-      ASSERT_EQ(seek.SeekGe(target), target)
+      auto seek = internal::OpenCursor(ctx, query, opts);
+      ASSERT_TRUE(seek.ok());
+      ASSERT_EQ(seek->SeekGe(target), target)
           << backend << " SeekGe " << EvalStrategyName(s);
     }
   }

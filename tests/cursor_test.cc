@@ -265,6 +265,33 @@ TEST(ResultCursorTest, GovernedRunReportsItsStop) {
   }
 }
 
+TEST(ResultCursorTest, OneCountdownAcrossRunAndFilter) {
+  // The relaxed //a run and the value filter each charge fewer than one
+  // check interval here; only their shared countdown (plus one charge per
+  // returned node) reaches a check, so an expired deadline must stop the
+  // query instead of letting it answer.
+  std::string xml = "<r>";
+  for (int i = 0; i < 400; ++i) {
+    xml += "<a id=\"v" + std::to_string(i % 3) + "\"/>";
+  }
+  xml += "</r>";
+  for (TreeBackend backend : {TreeBackend::kPointer, TreeBackend::kSuccinct}) {
+    SCOPED_TRACE(TreeBackendName(backend));
+    auto engine = Engine::FromXmlString(xml, backend);
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    auto full = engine->Run("//a[@id='v1']");
+    ASSERT_TRUE(full.ok()) << full.status();
+    ASSERT_EQ(full->nodes.size(), 133u);
+
+    ExecControl expired;
+    expired.deadline = ExecControl::Clock::now() - std::chrono::seconds(1);
+    QueryOptions opts;
+    opts.control = &expired;
+    auto late = engine->Run("//a[@id='v1']", opts);
+    EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
+  }
+}
+
 TEST(PreparedQueryTest, ExposesEveryCompiledPlan) {
   auto& engine = PointerEngine();
   auto chain = engine.Compile("//listitem//keyword");

@@ -7,6 +7,7 @@
 
 #include "baseline/nodeset_eval.h"
 #include "core/cursor.h"
+#include "core/engine.h"
 #include "test_util.h"
 #include "xmark/fig5_configs.h"
 #include "xmark/generator.h"
@@ -42,7 +43,6 @@ StatusOr<std::vector<NodeId>> RunHybrid(std::string_view query,
   while (stream.NextBatch(&out)) {
   }
   if (stats != nullptr) *stats = stream.stats();
-  XPWQO_RETURN_IF_ERROR(InterruptToStatus(stream.interrupt()));
   return out;
 }
 
@@ -188,9 +188,9 @@ TEST(HybridTest, GovernedCursorStopsAfterAPrefix) {
       QueryOptions opts;
       opts.strategy = EvalStrategy::kHybrid;
       opts.control = control;
-      auto impl = internal::MakeCursorImpl(ctx, *query, opts);
-      EXPECT_TRUE(impl.ok()) << impl.status();
-      return ResultCursor(std::move(*impl));
+      auto cursor = internal::OpenCursor(ctx, *query, opts);
+      EXPECT_TRUE(cursor.ok()) << cursor.status();
+      return std::move(*cursor);
     };
     auto is_prefix = [](const std::vector<NodeId>& head,
                         const std::vector<NodeId>& all) {
@@ -225,6 +225,44 @@ TEST(HybridTest, GovernedCursorStopsAfterAPrefix) {
     EXPECT_EQ(cancelled.status().code(), StatusCode::kCancelled);
     EXPECT_LT(got.size(), answer.size());
     EXPECT_TRUE(is_prefix(got, answer));
+  }
+}
+
+TEST(HybridTest, ExpiredDeadlineStopsShortSuffixRuns) {
+  // 300 pivot candidates (b is the rarest label) whose suffix runs each
+  // visit about 1,000 nodes, fewer than one check interval: only a
+  // countdown shared across candidates, ancestor walks and suffix runs
+  // reaches a check, so the run must stop rather than answer in full.
+  std::string xml = "<r>";
+  for (int i = 0; i < 400; ++i) xml += "<a/>";
+  for (int i = 0; i < 300; ++i) {
+    xml += "<a><b>";
+    for (int j = 0; j < 1000; ++j) xml += "<c/>";
+    xml += "</b></a>";
+  }
+  xml += "</r>";
+  for (TreeBackend backend : {TreeBackend::kPointer, TreeBackend::kSuccinct}) {
+    auto engine = Engine::FromXmlString(xml, backend);
+    ASSERT_TRUE(engine.ok()) << engine.status();
+    for (EvalStrategy s : {EvalStrategy::kOptimized, EvalStrategy::kHybrid}) {
+      SCOPED_TRACE(std::string(TreeBackendName(backend)) + " " +
+                   EvalStrategyName(s));
+      QueryOptions opts;
+      opts.strategy = s;
+      auto full = engine->Run("//a//b//c", opts);
+      ASSERT_TRUE(full.ok()) << full.status();
+      ASSERT_EQ(full->nodes.size(), 300000u);
+      if (s == EvalStrategy::kHybrid) {
+        ASSERT_TRUE(full->used_hybrid);
+        ASSERT_EQ(full->hybrid.pivot, 1);
+      }
+
+      ExecControl expired;
+      expired.deadline = ExecControl::Clock::now() - std::chrono::seconds(1);
+      opts.control = &expired;
+      auto late = engine->Run("//a//b//c", opts);
+      EXPECT_EQ(late.status().code(), StatusCode::kDeadlineExceeded);
+    }
   }
 }
 
