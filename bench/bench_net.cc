@@ -5,6 +5,9 @@
 // percentiles, plus the 503/504 counts that show the overload ladder
 // working end to end: at 1x nearly everything is 200, at 4x the shedder
 // refuses the excess while the p99 of admitted requests stays bounded.
+// Each phase also records the runtime's own side from ServingRuntime::Stats()
+// once it is drained: the admission/outcome accounting identity and the
+// p99 of the jobs the runtime executed.
 //
 // Usage: bench_net [--quick] [--out PATH]
 //   --quick  small shards + short phases (CI smoke run; scripts/check.sh)
@@ -102,6 +105,8 @@ struct PhaseResult {
   double rps = 0;        // ok per second
   int64_t p50_us = 0;    // client-observed, 200s only
   int64_t p99_us = 0;
+  ServingStatsSnapshot runtime;  // runtime.Stats() after Shutdown()
+  bool accounting_ok = false;    // submitted == shed + outcome_total()
 };
 
 PhaseResult RunPhase(const Collection& collection, int num_threads,
@@ -172,6 +177,9 @@ PhaseResult RunPhase(const Collection& collection, int num_threads,
   server.Stop();
   runtime.Shutdown();
 
+  phase.runtime = runtime.Stats();
+  phase.accounting_ok = phase.runtime.submitted ==
+                        phase.runtime.shed + phase.runtime.outcome_total();
   phase.requests = requests.load();
   phase.ok = ok.load();
   phase.shed = shed.load();
@@ -232,10 +240,16 @@ int Run(bool quick, const std::string& out_path) {
     const PhaseResult& p = phases.back();
     std::printf(
         "  %ld requests, %.0f rps ok, p50 %ld us, p99 %ld us, "
-        "%ld shed, %ld deadline, %ld errors\n",
+        "%ld shed, %ld deadline, %ld errors\n"
+        "  runtime: %ld submitted, %ld shed, %ld outcomes (%s), p99 %ld us\n",
         static_cast<long>(p.requests), p.rps, static_cast<long>(p.p50_us),
         static_cast<long>(p.p99_us), static_cast<long>(p.shed),
-        static_cast<long>(p.deadline), static_cast<long>(p.errors));
+        static_cast<long>(p.deadline), static_cast<long>(p.errors),
+        static_cast<long>(p.runtime.submitted),
+        static_cast<long>(p.runtime.shed),
+        static_cast<long>(p.runtime.outcome_total()),
+        p.accounting_ok ? "balanced" : "BROKEN",
+        static_cast<long>(p.runtime.latency_us.Percentile(0.99)));
   }
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
@@ -257,12 +271,19 @@ int Run(bool quick, const std::string& out_path) {
         "    {\"multiplier\": %d, \"clients\": %d, \"duration_s\": %.3f,\n"
         "     \"requests\": %lld, \"ok\": %lld, \"shed\": %lld,\n"
         "     \"deadline\": %lld, \"errors\": %lld, \"rps\": %.1f,\n"
-        "     \"p50_us\": %lld, \"p99_us\": %lld}%s\n",
+        "     \"p50_us\": %lld, \"p99_us\": %lld,\n"
+        "     \"runtime\": {\"submitted\": %lld, \"shed\": %lld, "
+        "\"outcomes\": %lld, \"accounting_ok\": %s, \"p99_us\": %lld}}%s\n",
         p.multiplier, p.clients, p.duration_s,
         static_cast<long long>(p.requests), static_cast<long long>(p.ok),
         static_cast<long long>(p.shed), static_cast<long long>(p.deadline),
         static_cast<long long>(p.errors), p.rps,
         static_cast<long long>(p.p50_us), static_cast<long long>(p.p99_us),
+        static_cast<long long>(p.runtime.submitted),
+        static_cast<long long>(p.runtime.shed),
+        static_cast<long long>(p.runtime.outcome_total()),
+        p.accounting_ok ? "true" : "false",
+        static_cast<long long>(p.runtime.latency_us.Percentile(0.99)),
         i + 1 < phases.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");

@@ -125,7 +125,7 @@ int main(int argc, char** argv) {
 
   // Value predicates compare text and attribute content. Pointer engines
   // read the Document; succinct and image-reopened engines read the
-  // TextStore that version-2 index images persist — so these queries give
+  // TextStore that index images persist — so these queries give
   // the same answers before --save-index and after --index.
   auto dated = library.Prepare(
       "//shelf[@topic='databases']/book[year/text()='2010']/title");

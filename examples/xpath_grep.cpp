@@ -18,10 +18,10 @@
 //
 // --save-index DIR writes the loaded document's index image into DIR;
 // --index DIR (in place of the XML file) reopens it with one mmap instead
-// of re-parsing the XML. Version-2 images carry the text content, so
-// --xml and value-predicate queries ([text()='v'], [@attr='v'],
-// [contains(...)]) work on image engines too; both are rejected with a
-// precondition error on old version-1 (structural-only) images.
+// of re-parsing the XML. Images carry the text content, so --xml and
+// value-predicate queries ([text()='v'], [@attr='v'], [contains(...)])
+// work on image engines too. An image written by an older build fails
+// with an "unsupported image version" error: rebuild it from the XML.
 //
 // --exists prints "true"/"false" instead of matches: the existence check
 // rides the LIMIT-1 pushdown and stops at the first (verified) match —
@@ -171,18 +171,11 @@ int main(int argc, char** argv) {
       case kPaths:
         std::printf("%s\n", engine->PathTo(n).c_str());
         break;
-      case kXml: {
+      case kXml:
         // Serialized from the Document on the pointer backend, or from the
-        // succinct tree + TextStore on (v2) image engines.
-        auto xml = engine->SerializeSubtree(n);
-        if (!xml.ok()) {
-          std::fprintf(stderr, "error: %s\n",
-                       xml.status().ToString().c_str());
-          return 1;
-        }
-        std::printf("%s\n", xml->c_str());
+        // succinct tree + TextStore on image engines.
+        std::printf("%s\n", engine->SerializeSubtree(n).c_str());
         break;
-      }
     }
   }
   const xpwqo::Status run_status = cursor->status();

@@ -518,7 +518,7 @@ template <typename TreeView>
 class RegionStreamImpl final : public AstaRegionStream::Impl {
  public:
   RegionStreamImpl(const Asta& asta, TreeView view, const TreeIndex& index,
-                   const AstaEvalOptions& options)
+                   bool streamable, const AstaEvalOptions& options)
       : view_(view), eval_(asta, view, index, options) {
     const NodeId root = view_.root();
     if (root == kNullNode) {
@@ -528,7 +528,7 @@ class RegionStreamImpl final : public AstaRegionStream::Impl {
     // Mirror the evaluator's top-level Enter: when the top determinized set
     // jumps on both children and the root label is non-essential, the
     // topmost essential nodes partition the result-bearing subtrees.
-    if (options.jumping) {
+    if (streamable && options.jumping) {
       const JumpInfo jump = eval_.tda().JumpFor(asta.TopMask());
       if (jump.kind == LoopKind::kBoth &&
           !jump.essential.Contains(view_.label(root))) {
@@ -605,10 +605,11 @@ class RegionStreamImpl final : public AstaRegionStream::Impl {
 }  // namespace
 
 AstaRegionStream::AstaRegionStream(const Asta& asta, const TreeIndex& index,
+                                   bool streamable,
                                    const AstaEvalOptions& options)
     : impl_(VisitTreeView(index, [&](auto view) -> std::unique_ptr<Impl> {
         return std::make_unique<RegionStreamImpl<decltype(view)>>(
-            asta, view, index, options);
+            asta, view, index, streamable, options);
       })) {}
 
 AstaRegionStream::AstaRegionStream(AstaRegionStream&&) noexcept = default;

@@ -101,14 +101,15 @@ AstaEvalResult EvalAstaAt(const Asta& asta, const TreeIndex& index,
 /// an automaton where every created mark survives to an accepted top state.
 /// That holds for predicate-free XPath compilations (selection queries never
 /// reject a tree and their formulas are positive) — the condition
-/// PreparedQuery::streamable() checks. For other automata, when the top set
-/// cannot jump, or with options.jumping off, the stream degenerates to a
-/// single region that is the plain full run (streaming() returns false),
-/// which is always correct.
+/// PreparedQuery::streamable() checks, and the caller passes it as
+/// `streamable`. When it is false, when the top set cannot jump, or with
+/// options.jumping off, the stream degenerates to a single region that is
+/// the plain full run (streaming() returns false), which is always correct.
 class AstaRegionStream {
  public:
-  /// `asta` and `index` must outlive the stream.
-  AstaRegionStream(const Asta& asta, const TreeIndex& index,
+  /// `asta` and `index` must outlive the stream. `streamable` says whether
+  /// every mark of `asta` is final (see the caveat above).
+  AstaRegionStream(const Asta& asta, const TreeIndex& index, bool streamable,
                    const AstaEvalOptions& options = {});
   AstaRegionStream(AstaRegionStream&&) noexcept;
   AstaRegionStream& operator=(AstaRegionStream&&) noexcept;

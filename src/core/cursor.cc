@@ -1,6 +1,7 @@
 #include "core/cursor.h"
 
 #include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "asta/eval.h"
@@ -13,27 +14,6 @@
 namespace xpwqo {
 namespace internal {
 namespace {
-
-/// A fully-materialized result: one EvalAsta run, emitted as one batch.
-class EagerImpl final : public CursorImpl {
- public:
-  EagerImpl(std::vector<NodeId> nodes, CursorStats stats)
-      : nodes_(std::move(nodes)), stats_(std::move(stats)) {}
-
-  bool NextBatch(std::vector<NodeId>* out) override {
-    if (emitted_) return false;
-    emitted_ = true;
-    out->insert(out->end(), nodes_.begin(), nodes_.end());
-    return true;
-  }
-  bool streaming() const override { return false; }
-  void ReportStats(CursorStats* stats) const override { *stats = stats_; }
-
- private:
-  std::vector<NodeId> nodes_;
-  CursorStats stats_;
-  bool emitted_ = false;
-};
 
 /// Baseline: the step passes run at construction (set-at-a-time evaluation
 /// cannot skip them), but the final mask is scanned lazily.
@@ -69,7 +49,9 @@ class BaselineMaskImpl final : public CursorImpl {
   BaselineStats stats_;
 };
 
-/// Region streaming over the (predicate-free) automaton run.
+/// The automaton run, region by region; a query that cannot stream (it has
+/// predicates, the top set does not jump, or jumping is off) runs as one
+/// full region.
 class RegionImpl final : public CursorImpl {
  public:
   explicit RegionImpl(AstaRegionStream stream) : stream_(std::move(stream)) {}
@@ -125,7 +107,6 @@ AstaEvalOptions EvalOptionsFor(const QueryOptions& options,
       eval = {true, true, true};
       break;
   }
-  eval.info_propagation = eval.info_propagation && options.info_propagation;
   eval.monitor = monitor;
   return eval;
 }
@@ -133,27 +114,19 @@ AstaEvalOptions EvalOptionsFor(const QueryOptions& options,
 /// Builds the relaxed-plan producer for the non-baseline strategies,
 /// charging `monitor`. When the query carries value predicates, OpenCursor
 /// wraps the result in the verification stage (value_filter.cc).
-StatusOr<std::unique_ptr<CursorImpl>> MakeRelaxedImpl(
-    const CursorContext& ctx, const PreparedQuery& query,
-    const QueryOptions& options, ExecMonitor* monitor) {
+std::unique_ptr<CursorImpl> MakeRelaxedImpl(const CursorContext& ctx,
+                                            const PreparedQuery& query,
+                                            const QueryOptions& options,
+                                            ExecMonitor* monitor) {
   const TreeIndex& index = *ctx.index;
   if (options.strategy == EvalStrategy::kHybrid && query.hybrid() != nullptr) {
-    return std::unique_ptr<CursorImpl>(new HybridImpl(
-        HybridStream(*query.hybrid(), query.asta(), index, monitor)));
+    return std::make_unique<HybridImpl>(
+        HybridStream(*query.hybrid(), query.asta(), index, monitor));
   }
-
   // Automaton strategies (and the hybrid fallback when no plan applies).
-  const AstaEvalOptions eval = EvalOptionsFor(options, monitor);
-  if (query.streamable() && eval.jumping) {
-    return std::unique_ptr<CursorImpl>(
-        new RegionImpl(AstaRegionStream(query.asta(), index, eval)));
-  }
-  AstaEvalResult r = EvalAsta(query.asta(), index, eval);
-  if (monitor->stopped()) return monitor->ToStatus();
-  CursorStats stats;
-  stats.eval = r.stats;
-  return std::unique_ptr<CursorImpl>(
-      new EagerImpl(std::move(r.nodes), std::move(stats)));
+  return std::make_unique<RegionImpl>(
+      AstaRegionStream(query.asta(), index, query.streamable(),
+                       EvalOptionsFor(options, monitor)));
 }
 
 /// The producer for (query, options), charging `monitor`.
@@ -174,15 +147,8 @@ StatusOr<std::unique_ptr<CursorImpl>> MakeProducer(
         new BaselineMaskImpl(std::move(mask), stats));
   }
 
-  if (query.has_value_predicates() &&
-      ctx.doc == nullptr && ctx.text == nullptr) {
-    return Status::FailedPrecondition(
-        "query compares text()/attribute values but this engine has no "
-        "content layer (it was opened from a version-1, structural-only "
-        "index image; re-save it to get a version-2 image with text)");
-  }
-  XPWQO_ASSIGN_OR_RETURN(std::unique_ptr<CursorImpl> impl,
-                         MakeRelaxedImpl(ctx, query, options, monitor));
+  std::unique_ptr<CursorImpl> impl =
+      MakeRelaxedImpl(ctx, query, options, monitor);
   if (query.has_value_predicates()) {
     // The plans above ran the structural relaxation; keep only candidates
     // the full path (value comparisons included) actually selects.

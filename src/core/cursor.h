@@ -72,8 +72,7 @@ struct CursorContext {
   /// backend.
   const TreeIndex* index = nullptr;
   /// Content layer for value predicates on document-less engines (streamed
-  /// or image-backed); null on v1 images, where such queries fail with
-  /// kFailedPrecondition.
+  /// or image-backed); null when `doc` carries the values.
   const TextStore* text = nullptr;
   /// Baseline oracle input and pointer value source only; null on
   /// streamed and image-backed engines.
@@ -84,10 +83,10 @@ struct CursorContext {
 /// Engine::OpenCursor and Engine::Run drain. It builds the query's
 /// ExecMonitor over `options.control` first, then the producer that
 /// charges it: a lazy mask scan for the baseline, a HybridStream for
-/// kHybrid with a plan, an AstaRegionStream for a streamable query under a
-/// jumping strategy, and otherwise one EvalAsta run here (a stop during
-/// that run is returned as the error); value predicates add the filter
-/// stage. `retained` optionally keeps a shared compilation alive for the
+/// kHybrid with a plan, and otherwise an AstaRegionStream, which runs one
+/// full region when the query cannot stream; value predicates add the
+/// filter stage. No charged work runs here, so a stop shows in
+/// ResultCursor::status(), never as an error of this call. `retained` optionally keeps a shared compilation alive for the
 /// cursor's lifetime (string-opened cursors); `cache_hits` seeds
 /// CursorStats::eval::query_cache_hits. Fails like Engine::Run (e.g.
 /// baseline without a pointer Document).

@@ -143,6 +143,7 @@ Engine Engine::FromImageParts(std::shared_ptr<Alphabet> alphabet,
                               LabelIndex labels,
                               std::unique_ptr<TextStore> text,
                               std::shared_ptr<const void> backing) {
+  XPWQO_CHECK(text != nullptr);
   Engine engine;
   engine.alphabet_ = std::move(alphabet);
   engine.backing_ = std::move(backing);
@@ -193,15 +194,9 @@ class SuccinctXmlSource final : public XmlNodeSource {
 
 }  // namespace
 
-StatusOr<std::string> Engine::SerializeSubtree(
-    NodeId n, const XmlSerializeOptions& options) const {
+std::string Engine::SerializeSubtree(NodeId n,
+                                     const XmlSerializeOptions& options) const {
   if (doc_ != nullptr) return SerializeXml(*doc_, options, n);
-  if (text_ == nullptr) {
-    return Status::FailedPrecondition(
-        "cannot serialize XML: this engine has no content layer (it was "
-        "opened from a version-1, structural-only index image; re-save it "
-        "to get a version-2 image with text)");
-  }
   return SerializeXml(SuccinctXmlSource(*succinct_, *alphabet_, *text_),
                       options, n);
 }

@@ -121,9 +121,7 @@ class Engine {
   /// (the mapped image), which the engine keeps alive for its lifetime.
   /// The persist loader (persist/index_image.h) validates everything
   /// before calling this.
-  /// `text` is the content layer from a v2 image's text section, or null
-  /// for v1 images (structural-only; text-dependent queries then fail with
-  /// kFailedPrecondition).
+  /// `text` is the content layer from the image's text section (required).
   static Engine FromImageParts(std::shared_ptr<Alphabet> alphabet,
                                std::unique_ptr<SuccinctTree> tree,
                                LabelIndex labels,
@@ -213,20 +211,18 @@ class Engine {
   }
   /// The succinct tree, or null on the pointer backend.
   const SuccinctTree* succinct_tree() const { return succinct_.get(); }
-  /// The content layer, or null. Streamed succinct loads always build one;
-  /// engines opened from a v1 (structural-only) image have none. Pointer
-  /// engines serve values from the Document instead.
+  /// The content layer, or null when the engine holds a Document, which
+  /// serves the values instead. Streamed succinct loads and image opens
+  /// always carry one.
   const TextStore* text_store() const { return text_.get(); }
   /// Root-to-node label path such as "/site/regions/item", on either
   /// backend (diagnostics; the examples print match locations with it).
   std::string PathTo(NodeId n) const;
   /// Serializes the subtree rooted at `n` (kNullNode = whole document)
-  /// back to XML text, from the Document on the pointer backend or from
-  /// the succinct tree plus the TextStore on content-bearing succinct
-  /// engines. kFailedPrecondition on v1-image engines, which store no
-  /// text to serialize.
-  StatusOr<std::string> SerializeSubtree(
-      NodeId n = kNullNode, const XmlSerializeOptions& options = {}) const;
+  /// back to XML text, from the Document when the engine holds one or else
+  /// from the succinct tree plus the TextStore.
+  std::string SerializeSubtree(NodeId n = kNullNode,
+                               const XmlSerializeOptions& options = {}) const;
   /// Memory accounting of the loaded tree + label index.
   IndexMemoryReport IndexMemory() const;
 
@@ -276,7 +272,7 @@ class Engine {
   std::unique_ptr<SuccinctTree> succinct_;  // null on the pointer backend
   std::unique_ptr<TreeIndex> index_;  // over succinct_ when configured
   /// Content layer for document-less engines (streamed succinct loads and
-  /// v2 image opens); null when doc_ carries the values or on v1 images.
+  /// image opens); null when doc_ carries the values.
   std::unique_ptr<TextStore> text_;
   /// LRU of string-compiled queries (internally locked). Shared with the
   /// owning Collection when there is one.

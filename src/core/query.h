@@ -28,9 +28,6 @@ const char* EvalStrategyName(EvalStrategy strategy);
 
 struct QueryOptions {
   EvalStrategy strategy = EvalStrategy::kOptimized;
-  /// Information propagation (only meaningful for the automaton
-  /// strategies; Figure 4's four series keep it off except kOptimized).
-  bool info_propagation = true;
   /// Deadline / cancellation / visited-node budget for this run, or null
   /// for ungoverned evaluation (the default). Must outlive the run (and
   /// the cursor, for OpenCursor). The query runs under one countdown over

@@ -73,8 +73,7 @@ class PathVerifier {
 
   std::string_view Value(NodeId n) const {
     if (doc_ != nullptr) return doc_->text(n);
-    if (text_ != nullptr && text_->has_value(n)) return text_->Value(n);
-    return {};
+    return text_->has_value(n) ? text_->Value(n) : std::string_view();
   }
   NodeClass ClassOf(NodeId n) const {
     const LabelId l = index_.Label(n);
@@ -220,7 +219,7 @@ class PathVerifier {
   const Path& path_;
   const TreeIndex& index_;
   const Document* doc_;
-  const TextStore* text_;
+  const TextStore* text_;  // the value source when doc_ is null
   ExecMonitor* monitor_;
   std::vector<NodeClass> class_of_;  // indexed by LabelId
   /// Pre-resolved kName tests, keyed by step identity (the path AST is

@@ -10,7 +10,7 @@
 // Like BitVector and the posting lists, the store is dual-mode: the build
 // path owns its heap and offsets (populated streaming by the ingestion
 // sinks, value by value, with no intermediate Document), while an engine
-// opened from a v2 index image wraps the mapped `text` section in place
+// opened from an index image wraps the mapped `text` section in place
 // (FromExternal) and re-serializes byte-identically — the fixpoint property
 // the persist round-trip tests pin down.
 #ifndef XPWQO_INDEX_TEXT_STORE_H_
@@ -32,7 +32,7 @@ namespace xpwqo {
 class Document;
 
 /// Immutable node→value map. Build through TextStoreBuilder (streaming),
-/// FromDocument (pointer backend), or FromExternal (mapped v2 image).
+/// FromDocument (pointer backend), or FromExternal (mapped image).
 class TextStore {
  public:
   TextStore() = default;
@@ -42,7 +42,7 @@ class TextStore {
   /// Collects the values of every @attr and #text node of `doc`.
   static TextStore FromDocument(const Document& doc);
 
-  /// Wraps `length` bytes of serialized store (the v2 image's text section)
+  /// Wraps `length` bytes of serialized store (an image's text section)
   /// without copying the offsets or the heap; `num_nodes` is the node count
   /// the structural sections already established. Validates the layout:
   /// exact length, zero reserved fields, bitmap population == num_values,

@@ -10,10 +10,13 @@
 //   crc <manifest-crc-hex>
 //
 // The label lines replay the shared alphabet in id order before any
-// document loads, so a query prepared against a freshly reopened
-// collection interns exactly the ids the saved images carry — lazy loads
-// that happen later (or never) cannot be skewed by interning that
-// happened in between.
+// document loads, for two reasons. The shared alphabet is complete at
+// open: queries compile by lookup, so a plan compiled before a document's
+// first touch already resolves every name the saved images carry, and is
+// not left stale (and recompiled) once that touch adds labels. And each
+// image's alphabet section is checked against the ids interning gives: a
+// lazily opened image whose label ids disagree with the collection's fails
+// to open instead of serving under the wrong labels.
 //
 // Each doc line records the file's whole-image CRC (the image footer's
 // value); reopening cross-checks it against the mapped file before the
@@ -202,8 +205,9 @@ StatusOr<Collection> OpenCollection(const std::string& dir) {
 
   Collection collection;
   size_t next = 1;
-  // Replay the saved alphabet before anything can intern: ids are
-  // positional, so prepared queries and lazy image loads all agree.
+  // Replay the saved alphabet before any document loads: ids are
+  // positional, so every plan compiles against the complete alphabet and
+  // each lazy image load checks its own ids against it.
   for (; next + 1 < lines.size() && lines[next].substr(0, 6) == "label ";
        ++next) {
     XPWQO_ASSIGN_OR_RETURN(const std::string name,

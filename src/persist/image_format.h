@@ -1,4 +1,4 @@
-// On-disk layout of the persistent index image (versions 1 and 2).
+// On-disk layout of the persistent index image (version 2).
 //
 // One image file holds one document's succinct index — everything Open
 // needs to serve queries without touching the source XML:
@@ -8,9 +8,9 @@
 // The six sections appear in this fixed order, each 8-byte aligned with
 // zero padding between (entry lengths are exact, offsets are aligned):
 //
-//   size_hints  node count, alphabet size, text heap bytes (v2; zero in
-//               v1), reserved — validated first, every other section's
-//               size is cross-checked against these
+//   size_hints  node count, alphabet size, text heap bytes, reserved —
+//               validated first, every other section's size is
+//               cross-checked against these
 //   alphabet    interned label names: {u32 count, u32 0}, count+1 u64
 //               offsets (relative to the section start; entry i+1 ends
 //               entry i), concatenated name bytes
@@ -18,17 +18,15 @@
 //               BitVector::SerializeWordsTo writes them (incl. pad word)
 //   labels      the preorder label array, raw LabelId (u32) values
 //   postings    the compressed label postings, LabelIndex::SerializeTo
-//   text        v1: empty (structural-only image). v2: the content layer,
-//               TextStore::SerializeTo — {u64 num_values, u64 heap_bytes,
-//               u64 0, u64 0}, the has-value bitmap words over preorder
-//               NodeIds, num_values+1 monotone u64 heap offsets, the
-//               concatenated UTF-8 value heap
+//   text        the content layer, TextStore::SerializeTo — {u64
+//               num_values, u64 heap_bytes, u64 0, u64 0}, the has-value
+//               bitmap words over preorder NodeIds, num_values+1 monotone
+//               u64 heap offsets, the concatenated UTF-8 value heap
 //
-// Writers emit v2 whenever the engine has a content layer (any engine
-// built from XML) and v1 only when re-saving an engine that was opened
-// from a v1 image — so a save→open→save round trip is byte-identical in
-// both formats. Readers accept both versions; text-dependent queries
-// against a v1-opened engine fail with kFailedPrecondition.
+// Writers always emit kImageVersion, and a save→open→save round trip is
+// byte-identical. Readers open exactly kImageVersion: an image is a cache
+// of its XML, so an older or newer one is rebuilt from the source, not
+// migrated.
 //
 // Integrity is layered so no decoder ever touches unverified bytes:
 // magic/version/flags, then the header CRC (covers header + section
@@ -44,7 +42,7 @@
 // Version-bump policy: any layout change — new section, reordered
 // sections, different per-section encoding — increments kImageVersion,
 // and readers reject versions they do not know (kCorruption, "unsupported
-// image version"). Additive flags are NOT used for layout changes: a v1
+// image version"). Additive flags are NOT used for layout changes: a
 // reader rejects any nonzero flags word outright, so stale readers fail
 // loudly instead of misreading.
 #ifndef XPWQO_PERSIST_IMAGE_FORMAT_H_
@@ -60,10 +58,8 @@ namespace persist {
 
 inline constexpr uint64_t kImageMagic = 0x5844494F51575058ULL;  // "XPWQOIDX"
 inline constexpr uint32_t kFooterMagic = 0x444E4558;            // "XEND"
-/// Current version: v2 adds the populated text section. Readers accept
-/// [kMinImageVersion, kImageVersion]; writers pick per engine (see above).
+/// The one version writers emit and readers open.
 inline constexpr uint32_t kImageVersion = 2;
-inline constexpr uint32_t kMinImageVersion = 1;
 
 inline constexpr size_t kHeaderBytes = 40;
 inline constexpr size_t kSectionEntryBytes = 32;

@@ -126,12 +126,11 @@ StatusOr<CheckedImage> ValidateIndexImage(const uint8_t* data, size_t size) {
     return Corrupt("bad image magic (not an xpwqo index image)");
   }
   const uint32_t version = GetU32(data + 8);
-  if (version < persist::kMinImageVersion ||
-      version > persist::kImageVersion) {
+  if (version != persist::kImageVersion) {
     return Corrupt("unsupported image version " + std::to_string(version) +
-                   " (this build reads versions " +
-                   std::to_string(persist::kMinImageVersion) + "-" +
-                   std::to_string(persist::kImageVersion) + ")");
+                   " (this build reads version " +
+                   std::to_string(persist::kImageVersion) +
+                   "; rebuild the image from the source XML)");
   }
   if (GetU32(data + 12) != 0) {
     return Corrupt("unknown image flags");
@@ -227,10 +226,6 @@ StatusOr<CheckedImage> ValidateIndexImage(const uint8_t* data, size_t size) {
   const uint64_t num_nodes = GetU64(hints);
   const uint64_t num_labels = GetU64(hints + 8);
   const uint64_t text_heap_bytes = GetU64(hints + 16);
-  if (version < 2 && text_heap_bytes != 0) {
-    return SectionCorrupt(persist::kSizeHints,
-                          "has nonzero text bytes in version 1");
-  }
   if (GetU64(hints + 24) != 0) {
     return SectionCorrupt(persist::kSizeHints, "has nonzero reserved fields");
   }
@@ -257,13 +252,7 @@ StatusOr<CheckedImage> ValidateIndexImage(const uint8_t* data, size_t size) {
     return SectionCorrupt(persist::kLabels,
                           "size disagrees with the node count");
   }
-  if (version < 2) {
-    if (image.section_length[5] != 0) {
-      return SectionCorrupt(persist::kText, "must be empty in version 1");
-    }
-    return image;
-  }
-  // v2: the text section's own header must agree with the size hints and
+  // The text section's own header must agree with the size hints and
   // the node count before the store is decoded (the deeper offset checks —
   // monotonicity, heap span — run in TextStore::FromExternal on open).
   if (image.section_length[5] < 32) {
@@ -387,19 +376,16 @@ StatusOr<Engine> OpenMappedIndexImage(MmapFile file,
                           "counts do not sum to the node count");
   }
 
-  // Text section (v2 only): wrap the mapped store in place. FromExternal
-  // re-validates the layout — offset monotonicity, bitmap population, heap
-  // span — so even a writer bug cannot hand out views past the mapping.
-  std::unique_ptr<TextStore> text_store;
-  if (image.version >= 2) {
-    StatusOr<TextStore> text = TextStore::FromExternal(
-        data + image.section_offset[5], image.section_length[5],
-        image.num_nodes);
-    if (!text.ok()) {
-      return SectionCorrupt(persist::kText, text.status().message().c_str());
-    }
-    text_store = std::make_unique<TextStore>(std::move(*text));
+  // Text section: wrap the mapped store in place. FromExternal re-validates
+  // the layout — offset monotonicity, bitmap population, heap span — so
+  // even a writer bug cannot hand out views past the mapping.
+  StatusOr<TextStore> text = TextStore::FromExternal(
+      data + image.section_offset[5], image.section_length[5],
+      image.num_nodes);
+  if (!text.ok()) {
+    return SectionCorrupt(persist::kText, text.status().message().c_str());
   }
+  auto text_store = std::make_unique<TextStore>(std::move(*text));
 
   auto backing = std::make_shared<MmapFile>(std::move(file));
   Engine engine =

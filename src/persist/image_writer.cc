@@ -1,11 +1,9 @@
 // Serializes an Engine's index into the image layout documented in
-// image_format.h — v2 (with the text section) when the engine carries a
-// content layer, v1 when it does not (engines opened from v1 images). The
-// writer is deliberately deterministic — fixed section order, computed
-// (never discovered) offsets, zero-filled padding — so saving the same
-// engine twice produces identical bytes and an image-opened engine
-// re-serializes to exactly the bytes it was opened from (the round-trip
-// tests assert both, for both versions).
+// image_format.h. The writer is deliberately deterministic — fixed section
+// order, computed (never discovered) offsets, zero-filled padding — so
+// saving the same engine twice produces identical bytes and an image-opened
+// engine re-serializes to exactly the bytes it was opened from (the
+// round-trip tests assert both).
 #include <cstring>
 #include <memory>
 #include <span>
@@ -38,27 +36,22 @@ std::string SerializeIndexImage(const Engine& engine) {
   const Alphabet& alphabet = engine.alphabet();
   const size_t num_nodes = static_cast<size_t>(tree->num_nodes());
 
-  // The content layer: streamed succinct loads and v2-opened engines carry
-  // a TextStore; pointer-backend engines build one from the Document here.
-  // Only engines opened from a v1 image have neither — those re-save as
-  // v1, keeping the byte-identical re-serialization fixpoint (a fabricated
-  // all-empty text section would claim values the image never had).
+  // The content layer: streamed succinct loads and image-opened engines
+  // carry a TextStore; engines holding a Document build one from it here.
   const TextStore* text = engine.text_store();
   std::unique_ptr<TextStore> built_text;
-  if (text == nullptr && engine.has_document()) {
+  if (text == nullptr) {
     built_text =
         std::make_unique<TextStore>(TextStore::FromDocument(engine.document()));
     text = built_text.get();
   }
-  const uint32_t version =
-      text != nullptr ? persist::kImageVersion : persist::kMinImageVersion;
 
   std::string sections[persist::kSectionCount];
   {  // size_hints
     std::string* s = &sections[0];
     PutU64(s, num_nodes);
     PutU64(s, static_cast<uint64_t>(alphabet.size()));
-    PutU64(s, text != nullptr ? text->heap_bytes() : 0);  // zero in v1
+    PutU64(s, text->heap_bytes());
     PutU64(s, 0);  // reserved
   }
   {  // alphabet: count, offset directory, concatenated name bytes
@@ -85,7 +78,7 @@ std::string SerializeIndexImage(const Engine& engine) {
                        labels.size() * sizeof(LabelId));
   }
   engine.index().labels().SerializeTo(&sections[4]);  // postings
-  if (text != nullptr) text->SerializeTo(&sections[5]);  // empty in v1
+  text->SerializeTo(&sections[5]);  // text
 
   const size_t header_bytes =
       persist::kHeaderBytes +
@@ -103,7 +96,7 @@ std::string SerializeIndexImage(const Engine& engine) {
   std::string out;
   out.reserve(file_bytes);
   PutU64(&out, persist::kImageMagic);
-  PutU32(&out, version);
+  PutU32(&out, persist::kImageVersion);
   PutU32(&out, 0);  // flags
   PutU32(&out, persist::kSectionCount);
   PutU32(&out, static_cast<uint32_t>(header_bytes));

@@ -13,10 +13,12 @@
 // compressed postings + alphabet): saving a pointer-backend engine encodes
 // its topology through a temporary SuccinctTree, and Open always returns a
 // succinct-backend engine. Node ids are preorder ranks on both backends,
-// so query results are identical. Version 2 images also carry the content
-// layer (attribute values and text content, TextStore) in the text
-// section; v1 images are structural-only and still open, but value
-// predicates ([text()='v']) against them fail with kFailedPrecondition.
+// so query results are identical. Every image also carries the content
+// layer (attribute values and text content, TextStore) in its text
+// section, so value predicates ([text()='v']) and XML serialization work
+// on image-opened engines. An image of any other version than
+// persist::kImageVersion fails to open with kCorruption ("unsupported
+// image version"); images are a cache of the XML, so rebuild it.
 //
 // Failure taxonomy (see util/status.h): kIoError for OS-level failures
 // (open/stat/mmap/write — retrying may succeed), kCorruption for bytes
@@ -72,11 +74,11 @@ StatusOr<Engine> OpenMappedIndexImage(
 /// open path and by tests that want the layout without building an Engine.
 struct CheckedImage {
   const uint8_t* data = nullptr;
-  /// Format version of the image (1 = structural-only, 2 = with text).
+  /// Format version of the image (always persist::kImageVersion).
   uint32_t version = 0;
   size_t num_nodes = 0;
   size_t num_labels = 0;  // alphabet entries
-  /// Text heap bytes from the size hints (always 0 for v1).
+  /// Text heap bytes from the size hints.
   size_t text_heap_bytes = 0;
   // Section payloads (offsets into data, exact lengths).
   size_t section_offset[6] = {};

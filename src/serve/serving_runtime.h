@@ -68,9 +68,6 @@ struct ServingRuntimeOptions {
   /// (scrub_sweeps / scrub_docs_checked / scrub_quarantined); the thread
   /// joins cleanly with the pool on Shutdown.
   std::chrono::milliseconds scrub_interval{0};
-  /// Evaluation options for every job (strategy etc.); the per-job
-  /// ExecControl is injected by the runtime, so `query.control` is ignored.
-  QueryOptions query;
 };
 
 /// Per-request parameters of one Submit call.

@@ -44,10 +44,9 @@ enum class StatusCode {
   /// The caller cancelled the query through its cancellation token. Not
   /// retryable: cancellation is a decision, not a failure.
   kCancelled,
-  /// The operation needs state the system does not have — e.g. a
-  /// text-dependent query ([text()='v']) against an engine opened from a
-  /// v1 (structural-only) index image. Not retryable: the caller must
-  /// change the setup (re-save the index as v2), not the call.
+  /// The operation needs state the system does not have — e.g. a client
+  /// call on a connection that is not open. Not retryable: the caller must
+  /// change the setup, not repeat the call.
   kFailedPrecondition,
 };
 

@@ -86,7 +86,7 @@ struct HybridStream::Impl {
       // First label rarest: start-anywhere degenerates to the regular
       // top-down run — stream it region by region (hybrid-evaluable paths
       // are predicate-free, so region emission is final).
-      full_.emplace(full, index, opts_);
+      full_.emplace(full, index, /*streamable=*/true, opts_);
       return;
     }
     pivot_cursor_ = PostingList::Cursor(index.labels().Postings(labels[pivot]));

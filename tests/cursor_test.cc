@@ -292,6 +292,25 @@ TEST(ResultCursorTest, OneCountdownAcrossRunAndFilter) {
   }
 }
 
+TEST(ResultCursorTest, NonStreamingStopShowsInStatus) {
+  // A predicate query cannot stream, so its producer runs one full region
+  // on the first pull, not at open. A stop during that run leaves the
+  // cursor open and empty, and status() carries the reason.
+  for (const Engine* engine : {&PointerEngine(), &SuccinctEngine()}) {
+    SCOPED_TRACE(TreeBackendName(engine->backend()));
+    ExecControl expired;
+    expired.deadline = ExecControl::Clock::now() - std::chrono::seconds(1);
+    expired.check_interval = 1;
+    QueryOptions opts;
+    opts.control = &expired;
+    auto cursor = engine->OpenCursor("//listitem[.//keyword]", opts);
+    ASSERT_TRUE(cursor.ok()) << cursor.status();
+    EXPECT_FALSE(cursor->streaming());
+    EXPECT_EQ(cursor->Next(), kNullNode);
+    EXPECT_EQ(cursor->status().code(), StatusCode::kDeadlineExceeded);
+  }
+}
+
 TEST(PreparedQueryTest, ExposesEveryCompiledPlan) {
   auto& engine = PointerEngine();
   auto chain = engine.Compile("//listitem//keyword");

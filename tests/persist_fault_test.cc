@@ -186,16 +186,25 @@ TEST_F(PersistFaultTest, SwappedSectionOffsetsAreRejected) {
 }
 
 TEST_F(PersistFaultTest, UnknownVersionIsRejected) {
-  std::string bytes = image_;
-  const uint32_t version = 3;
-  std::memcpy(bytes.data() + 8, &version, sizeof(version));
-  FixChecksums(&bytes);
-  auto opened = OpenBytes(bytes);
-  ASSERT_FALSE(opened.ok());
-  EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
-  EXPECT_NE(opened.status().message().find("unsupported image version"),
-            std::string::npos)
-      << opened.status();
+  // The reader opens exactly the version it writes: an older image (1, the
+  // structural-only format) fails like a newer one (3), and the message
+  // says how to recover.
+  for (const uint32_t version : {1u, 3u}) {
+    std::string bytes = image_;
+    std::memcpy(bytes.data() + 8, &version, sizeof(version));
+    FixChecksums(&bytes);
+    auto opened = OpenBytes(bytes);
+    ASSERT_FALSE(opened.ok()) << "version " << version;
+    EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
+    EXPECT_NE(opened.status().message().find("unsupported image version " +
+                                             std::to_string(version)),
+              std::string::npos)
+        << opened.status();
+    EXPECT_NE(opened.status().message().find(
+                  "rebuild the image from the source XML"),
+              std::string::npos)
+        << opened.status();
+  }
 }
 
 TEST_F(PersistFaultTest, UnknownFlagsAreRejected) {
@@ -275,44 +284,6 @@ TEST_F(PersistFaultTest, TextBitmapPopulationMismatchIsRejected) {
   EXPECT_EQ(opened.status().code(), StatusCode::kCorruption);
   EXPECT_NE(opened.status().message().find("bitmap"), std::string::npos)
       << opened.status();
-}
-
-TEST_F(PersistFaultTest, CraftedV1ImageOpensButRejectsValueQueries) {
-  // Rebuild the image as a version-1 (structural-only) file, the way the
-  // previous format release wrote it: no text section, zero text size hint.
-  // It must still open — and only text-dependent queries must fail, with
-  // kFailedPrecondition rather than corruption.
-  const size_t text_begin = layout_.section_offset[5];
-  std::string v1 = image_.substr(0, text_begin) +
-                   image_.substr(image_.size() - persist::kFooterBytes);
-  const uint32_t version = 1;
-  std::memcpy(v1.data() + 8, &version, sizeof(version));
-  const uint64_t file_bytes = v1.size();
-  std::memcpy(v1.data() + 24, &file_bytes, sizeof(file_bytes));
-  uint8_t* entry5 = reinterpret_cast<uint8_t*>(v1.data()) +
-                    persist::kHeaderBytes + 5 * persist::kSectionEntryBytes;
-  const uint64_t zero = 0;
-  std::memcpy(entry5 + 16, &zero, sizeof(zero));  // text length -> 0
-  std::memcpy(v1.data() + layout_.section_offset[0] + 16, &zero,
-              sizeof(zero));  // text heap size hint -> 0
-  FixChecksums(&v1);
-
-  auto opened = OpenBytes(v1);
-  ASSERT_TRUE(opened.ok()) << opened.status();
-  EXPECT_EQ(opened->text_store(), nullptr);
-  // Structural queries serve as before.
-  auto structural = opened->Run("//item/name");
-  ASSERT_TRUE(structural.ok()) << structural.status();
-  EXPECT_EQ(structural->nodes.size(), 60u);
-  // Value predicates need the content layer the image never had.
-  auto value = opened->Run("//item[@id='k3']");
-  ASSERT_FALSE(value.ok());
-  EXPECT_EQ(value.status().code(), StatusCode::kFailedPrecondition);
-  EXPECT_NE(value.status().message().find("version-1"), std::string::npos)
-      << value.status();
-  // Re-saving a v1-opened engine keeps the v1 fixpoint: no fabricated
-  // text section, byte-identical output.
-  EXPECT_EQ(SerializeIndexImage(*opened), v1);
 }
 
 TEST_F(PersistFaultTest, MissingFilesAreIoErrorsNotCorruption) {
